@@ -54,10 +54,11 @@ SimConfig
 warmupConfig(const SimConfig &config)
 {
     SimConfig w = measurementConfig(config);
-    // Read only at or after the warmup boundary: measureInsts enters
-    // the loop bound (the boundary is reached the moment committed_
-    // crosses warmupInsts regardless of the total), and
-    // longRangePercentile is read by beginMeasurement().
+    // Read only at or after the warmup boundary: before it,
+    // measureInsts only decides whether an empty run steps at all (the
+    // boundary is reached the moment committed_ crosses warmupInsts
+    // regardless of the total), and longRangePercentile is read by
+    // beginMeasurement().
     w.measureInsts = SimConfig{}.measureInsts;
     w.longRangePercentile = SimConfig{}.longRangePercentile;
     // Sampling slices the measurement phase only; the warmup that

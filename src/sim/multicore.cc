@@ -87,60 +87,8 @@ MultiCoreSimulator::MultiCoreSimulator(const SimConfig &config)
 SimMetrics
 MultiCoreSimulator::run()
 {
-    const std::uint64_t warmup = cfg_.warmupInsts;
-    const std::uint64_t total = warmup + cfg_.measureInsts;
+    results_ = runLockstep(cores_);
 
-    enum class Phase : std::uint8_t { Warmup, Measure, Done };
-    std::vector<Phase> ph(cores_.size(), Phase::Warmup);
-    unsigned live = coreCount();
-
-    if (total == 0) {
-        // Degenerate zero-instruction run: same shape as finishRun's.
-        for (unsigned i = 0; i < cores_.size(); ++i) {
-            cores_[i]->beginMeasurement();
-            results_[i] = cores_[i]->collectMetrics();
-            ph[i] = Phase::Done;
-        }
-        live = 0;
-    }
-
-    // Cycle-interleaved lockstep, fixed core order: each pass gives
-    // every live core exactly one cycle, so contention on the shared
-    // levels resolves deterministically. Each core's own phase
-    // transitions follow the exact runWarmup/finishRun convention —
-    // beginMeasurement after the commit that crossed warmup, before
-    // that iteration's cycle advance — so a one-core consolidation
-    // is cycle-for-cycle the single-core run.
-    while (live > 0) {
-        for (unsigned i = 0; i < cores_.size(); ++i) {
-            if (ph[i] == Phase::Done)
-                continue;
-            Simulator &s = *cores_[i];
-            s.stepCycle(s.pf_ != nullptr);
-            if (s.sampler_)
-                s.sampler_->tick(s.committed_,
-                                 ph[i] == Phase::Measure);
-            if (ph[i] == Phase::Warmup && s.committed_ >= warmup) {
-                s.beginMeasurement();
-                ph[i] = Phase::Measure;
-            }
-            ++s.cycle_;
-            if (ph[i] == Phase::Measure && s.committed_ >= total) {
-                if (s.sampler_)
-                    s.sampler_->finalSample(s.committed_,
-                                            /*measuring=*/true);
-                results_[i] = s.collectMetrics();
-                ph[i] = Phase::Done;
-                --live;
-            }
-        }
-    }
-    return combineResults();
-}
-
-SimMetrics
-MultiCoreSimulator::combineResults() const
-{
     // Aggregate snapshot: the union of per-core paths in first-
     // appearance order. Counters sum; sim.cycles is the wall clock,
     // so it takes the max (cores retire their quota at different

@@ -3,9 +3,7 @@
  * Consolidated multi-core simulation (DESIGN.md §12): N front-ends,
  * each a full private Simulator (FTQ, predictors, L1-I, I-TLB, MAT,
  * prefetcher), sharing one L2/LLC plus the DRAM fill port and the
- * Metadata Buffer read port. Cores advance in cycle-interleaved
- * lockstep, so all contention is resolved in deterministic core
- * order and every run is exactly reproducible.
+ * Metadata Buffer read port, stepped by runLockstep.
  */
 
 #ifndef HP_SIM_MULTICORE_HH
@@ -66,9 +64,6 @@ class MultiCoreSimulator
     const SharedLevels &shared() const { return *shared_; }
 
   private:
-    /** Builds the combined SimMetrics out of results_ (run() tail). */
-    SimMetrics combineResults() const;
-
     SimConfig cfg_;
     std::shared_ptr<SharedLevels> shared_;
     std::vector<std::unique_ptr<Simulator>> cores_;

@@ -1,10 +1,10 @@
 #include "sim/run_report.hh"
 
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "obs/miss_attribution.hh"
 #include "obs/request_span.hh"
@@ -27,11 +27,13 @@ struct RecordedRun
 };
 
 std::atomic<bool> g_enabled{false};
+std::atomic<std::uint64_t> g_nextPosition{0};
 std::mutex g_mutex;
-std::vector<RecordedRun> &
+/** Recorded runs by report position. */
+std::map<std::uint64_t, RecordedRun> &
 recordedRuns()
 {
-    static std::vector<RecordedRun> runs;
+    static std::map<std::uint64_t, RecordedRun> runs;
     return runs;
 }
 
@@ -235,8 +237,15 @@ RunReportLog::enabled()
     return g_enabled.load(std::memory_order_acquire);
 }
 
+std::uint64_t
+RunReportLog::reserve()
+{
+    return g_nextPosition.fetch_add(1, std::memory_order_relaxed);
+}
+
 void
-RunReportLog::record(const SimConfig &config, const SimMetrics &m)
+RunReportLog::record(const SimConfig &config, const SimMetrics &m,
+                     std::uint64_t position)
 {
     if (!enabled())
         return;
@@ -246,7 +255,7 @@ RunReportLog::record(const SimConfig &config, const SimMetrics &m)
     run.configKey = ExperimentRunner::configKey(config);
     run.metrics = m;
     std::lock_guard<std::mutex> lock(g_mutex);
-    recordedRuns().push_back(std::move(run));
+    recordedRuns().emplace(position, std::move(run));
 }
 
 std::size_t
@@ -263,7 +272,7 @@ RunReportLog::documentJson()
     std::ostringstream out;
     out << "{\n  \"schema\": \"hp-stats-report-v1\",\n  \"runs\": [";
     bool first = true;
-    for (const RecordedRun &run : recordedRuns()) {
+    for (const auto &[position, run] : recordedRuns()) {
         const SimMetrics &m = run.metrics;
         out << (first ? "" : ",") << "\n    {\n"
             << "      \"workload\": \"" << jsonEscape(run.workload)

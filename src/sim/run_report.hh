@@ -15,6 +15,7 @@
 #define HP_SIM_RUN_REPORT_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "sim/config.hh"
@@ -27,6 +28,9 @@ namespace hp
  * Process-wide log of finished simulation runs. Recording is off by
  * default so the hot path of report-less invocations is unchanged;
  * record() is called from executor worker threads and is thread-safe.
+ * Runs are listed by position, not by completion: a simulation takes
+ * its position when it is submitted (reserve()), so a parallel run
+ * reports in the same order as a serial one.
  */
 class RunReportLog
 {
@@ -36,8 +40,14 @@ class RunReportLog
 
     static bool enabled();
 
-    /** Records one finished run (no-op unless enabled). */
-    static void record(const SimConfig &config, const SimMetrics &m);
+    /** Takes the next report position for a run recorded later. */
+    static std::uint64_t reserve();
+
+    /** Records one finished run at @p position — by default the next
+     *  one, so direct callers list in call order (no-op unless
+     *  enabled). */
+    static void record(const SimConfig &config, const SimMetrics &m,
+                       std::uint64_t position = reserve());
 
     /** Number of runs recorded so far. */
     static std::size_t size();

@@ -337,10 +337,14 @@ acquireSimulation(const SimConfig &config,
     }
 
     // First request for this class: this caller runs the simulation.
-    std::packaged_task<SimMetrics()> sim([config] {
+    // Its report position is taken now, under the cache lock, so the
+    // report lists runs in submission order whatever order the
+    // workers finish them in.
+    const std::uint64_t position = RunReportLog::reserve();
+    std::packaged_task<SimMetrics()> sim([config, position] {
         SimMetrics metrics = runMaybeSampled(config);
         g_runs.fetch_add(1, std::memory_order_relaxed);
-        RunReportLog::record(config, metrics);
+        RunReportLog::record(config, metrics, position);
         return metrics;
     });
     std::shared_future<SimMetrics> future = sim.get_future().share();

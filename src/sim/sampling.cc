@@ -431,7 +431,7 @@ runSampled(const SimConfig &config)
         out.tailAttribution.reset();
     }
     // Scenario runs take the data-DRAM model from the scenario's
-    // primary service, matching Simulator::collectMetrics.
+    // primary service, matching Simulator::measureTo.
     const AppProfile &data_profile = config.scenario.empty()
         ? appProfile(config.workload)
         : appProfile(scenarioPrimaryProfile(

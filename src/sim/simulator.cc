@@ -318,6 +318,49 @@ Simulator::ensureWindow(std::uint64_t up_to_seq)
     }
 }
 
+namespace
+{
+
+/** Taken direct transfers: their target comes from the BTB. */
+bool
+readsBtb(const DynInst &inst)
+{
+    return inst.kind == InstKind::CondBranch
+        ? inst.taken
+        : inst.kind == InstKind::Jump || inst.kind == InstKind::Call;
+}
+
+} // namespace
+
+bool
+Simulator::trainPredictors(const DynInst &inst)
+{
+    // predict() must precede update(): it latches the provider entry
+    // and the history the update trains.
+    switch (inst.kind) {
+      case InstKind::CondBranch: {
+        const bool predicted = condPred_.predict(inst.pc);
+        condPred_.update(inst.pc, inst.taken);
+        return predicted != inst.taken;
+      }
+      case InstKind::Call:
+        ras_.push(inst.nextPc());
+        return false;
+      case InstKind::IndirectCall:
+        ras_.push(inst.nextPc());
+        [[fallthrough]];
+      case InstKind::IndirectJump: {
+        const Addr predicted = indirectPred_.predict(inst.pc);
+        indirectPred_.update(inst.pc, inst.target);
+        return predicted != inst.target;
+      }
+      case InstKind::Return:
+        return ras_.pop() != inst.target;
+      default:
+        return false;
+    }
+}
+
 void
 Simulator::stepPredict()
 {
@@ -347,46 +390,15 @@ Simulator::stepPredict()
             if (!isControl(inst.kind))
                 continue;
 
-            switch (inst.kind) {
-              case InstKind::CondBranch: {
-                bool predicted = condPred_.predict(inst.pc);
-                condPred_.update(inst.pc, inst.taken);
-                if (predicted != inst.taken) {
-                    blocker = FeBlock::Mispredict;
-                } else if (inst.taken) {
-                    if (!btb_.lookup(inst.pc))
-                        blocker = FeBlock::BtbMiss;
-                }
-                break;
-              }
-              case InstKind::Jump:
-              case InstKind::Call: {
-                if (inst.kind == InstKind::Call)
-                    ras_.push(inst.nextPc());
-                if (!btb_.lookup(inst.pc))
-                    blocker = FeBlock::BtbMiss;
-                break;
-              }
-              case InstKind::IndirectJump:
-              case InstKind::IndirectCall: {
-                if (inst.kind == InstKind::IndirectCall)
-                    ras_.push(inst.nextPc());
-                Addr predicted = indirectPred_.predict(inst.pc);
-                indirectPred_.update(inst.pc, inst.target);
-                if (predicted != inst.target)
-                    blocker = FeBlock::Mispredict;
-                break;
-              }
-              case InstKind::Return: {
-                Addr predicted = ras_.pop();
-                if (predicted != inst.target) {
-                    blocker = FeBlock::Mispredict;
+            // A wrong direction or target stalls prediction until the
+            // branch commits; a correct one still needs the BTB for a
+            // direct target (never probed after a mispredict).
+            if (trainPredictors(inst)) {
+                blocker = FeBlock::Mispredict;
+                if (inst.kind == InstKind::Return)
                     ++rasMispredicts_;
-                }
-                break;
-              }
-              default:
-                break;
+            } else if (readsBtb(inst) && !btb_.lookup(inst.pc)) {
+                blocker = FeBlock::BtbMiss;
             }
 
             // Any taken transfer ends the fetch block; a blocker stalls
@@ -709,60 +721,41 @@ Simulator::stepCycle(bool has_pf)
     stepCommit();
 }
 
-void
-Simulator::runWarmup()
+bool
+Simulator::detailedTo(std::uint64_t target, std::uint64_t &budget)
 {
-    panicIf(measuring(), "runWarmup() after measurement began");
-    const std::uint64_t total = cfg_.warmupInsts + cfg_.measureInsts;
+    if (cyclePending_ && committed_ >= target)
+        return true;
     const bool has_pf = pf_ != nullptr;
-
-    // Stop inside the boundary iteration: after the commit step that
-    // crossed warmupInsts, before beginMeasurement() and the trailing
-    // cycle advance — exactly where a cold run would switch phases.
-    // With a zero-instruction total the loop never runs and
-    // finishRun() handles the degenerate boundary.
-    while (committed_ < total) {
+    while (budget > 0) {
+        --budget;
+        if (cyclePending_)
+            ++cycle_;
+        cyclePending_ = true;
         stepCycle(has_pf);
         if (sampler_)
-            sampler_->tick(committed_, /*measuring=*/false);
-        if (committed_ >= cfg_.warmupInsts)
-            return;
-        ++cycle_;
+            sampler_->tick(committed_, measuring());
+        if (committed_ >= target)
+            return true;
     }
+    return false;
 }
 
-SimMetrics
-Simulator::run()
+bool
+Simulator::measureTo(std::uint64_t target, bool close,
+                     std::uint64_t &budget)
 {
-    runWarmup();
-    return finishRun();
-}
-
-SimMetrics
-Simulator::finishRun()
-{
-    const std::uint64_t total = cfg_.warmupInsts + cfg_.measureInsts;
-    const bool has_pf = pf_ != nullptr;
-
-    beginMeasurement();
-    if (total > 0) {
-        // Complete the boundary iteration, then run measurement.
+    if (!measuring())
+        beginMeasurement();
+    if (close) {
+        if (!detailedTo(target, budget))
+            return false;
+        // Count the cycle of the iteration that crossed the target.
         ++cycle_;
-        while (committed_ < total) {
-            stepCycle(has_pf);
-            if (sampler_)
-                sampler_->tick(committed_, /*measuring=*/true);
-            ++cycle_;
-        }
     }
     if (sampler_)
         sampler_->finalSample(committed_, /*measuring=*/true);
-    return collectMetrics();
-}
 
-SimMetrics
-Simulator::collectMetrics()
-{
     // Measurement phase = end-of-run snapshot minus the warmup one;
     // every scalar SimMetrics field derives from this single delta.
     StatsSnapshot delta =
@@ -802,23 +795,45 @@ Simulator::collectMetrics()
 
     metrics_.stats = std::move(delta);
     flushObs();
-    return metrics_;
+    return true;
+}
+
+bool
+Simulator::runFor(std::uint64_t budget, bool warmup_only)
+{
+    // An empty run steps no cycle at all; any other run steps at least
+    // cycle 0, so a zero-instruction warmup still ends after it. The
+    // measurement closes its last cycle whenever the run has any
+    // instructions, even with measureInsts == 0 (sim.cycles == 1).
+    const std::uint64_t total = cfg_.warmupInsts + cfg_.measureInsts;
+    if (!measuring()) {
+        if (total > 0 && !detailedTo(cfg_.warmupInsts, budget))
+            return false;
+        if (warmup_only)
+            return true;
+    }
+    return measureTo(total, total > 0, budget);
 }
 
 void
-Simulator::runBoundaryTo(std::uint64_t target)
+Simulator::runWarmup()
 {
-    // Entered at a segment boundary — after the commit that crossed
-    // the previous target, before that iteration's cycle advance —
-    // and exits the same way, so segments chain exactly like the
-    // runWarmup/finishRun split does.
-    const bool has_pf = pf_ != nullptr;
-    while (committed_ < target) {
-        ++cycle_;
-        stepCycle(has_pf);
-        if (sampler_)
-            sampler_->tick(committed_, measuring());
-    }
+    panicIf(measuring(), "runWarmup() after measurement began");
+    runFor(kUnbounded, /*warmup_only=*/true);
+}
+
+SimMetrics
+Simulator::run()
+{
+    runWarmup();
+    return finishRun();
+}
+
+SimMetrics
+Simulator::finishRun()
+{
+    runFor(kUnbounded, /*warmup_only=*/false);
+    return metrics_;
 }
 
 void
@@ -826,109 +841,44 @@ Simulator::advanceDetailed(std::uint64_t insts)
 {
     panicIf(measuring(), "advanceDetailed() after measurement began");
     mode_ = SimMode::DetailedWarmup;
-    if (insts == 0)
-        return;
-    runBoundaryTo(committed_ + insts);
+    std::uint64_t budget = kUnbounded;
+    detailedTo(committed_ + insts, budget);
 }
 
 SimMetrics
 Simulator::measureWindow(std::uint64_t insts)
 {
-    beginMeasurement();
-    if (insts > 0) {
-        runBoundaryTo(committed_ + insts);
-        // Mirror finishRun's trailing advance so the window's cycle
-        // count is accounted the same way as a full measurement
-        // phase. A window is terminal for its Simulator instance.
-        ++cycle_;
-    }
-    if (sampler_)
-        sampler_->finalSample(committed_, /*measuring=*/true);
-    return collectMetrics();
+    // Unlike finishRun, an empty window closes no cycle. A window is
+    // terminal for its Simulator instance (until the next restore).
+    std::uint64_t budget = kUnbounded;
+    measureTo(committed_ + insts, insts > 0, budget);
+    return metrics_;
 }
 
-void
-Simulator::ffStep(const DynInst &inst, bool has_pf, Addr &cur_block)
+std::vector<SimMetrics>
+runLockstep(const std::vector<std::unique_ptr<Simulator>> &cores)
 {
-    const Addr block = blockAlign(inst.pc);
-    if (block != cur_block) {
-        cur_block = block;
-        hier_.noteFetchBlock();
-        if (!perfect_) {
-            hier_.itlb().translate(block);
-            const bool hit = hier_.functionalTouch(block);
-            if (has_pf) {
-                pf_->onDemandAccess(block, hit, cycle_, 0);
-                // Let tick-driven machinery make progress and drain
-                // the request queue without MSHR/timing bookkeeping.
-                if (hierPf_)
-                    hierPf_->tick(cycle_);
-                else
-                    pf_->tick(cycle_);
-                Addr req;
-                while (pf_->popRequest(req)) {
-                    hier_.functionalPrefetch(req, Origin::Ext,
-                                             cfg_.extPrefetchToL2);
-                }
-            }
-            if (cfg_.trackReuse) {
-                const std::uint64_t dist = reuse_.access(block);
-                if (dist != ReuseDistanceTracker::kColdAccess)
-                    reuseHist_->sample(double(dist));
+    std::vector<SimMetrics> results(cores.size());
+    std::vector<bool> done(cores.size(), false);
+    for (std::size_t live = cores.size(); live > 0;) {
+        for (std::size_t i = 0; i < cores.size(); ++i) {
+            if (!done[i] && cores[i]->runFor(1, /*warmup_only=*/false)) {
+                results[i] = cores[i]->metrics_;
+                done[i] = true;
+                --live;
             }
         }
     }
-
-    // Predictors train on the architectural path exactly as the
-    // prediction unit would train them (predict() must precede
-    // update(): it latches the provider entry and the history).
-    if (isControl(inst.kind)) {
-        switch (inst.kind) {
-          case InstKind::CondBranch:
-            condPred_.predict(inst.pc);
-            condPred_.update(inst.pc, inst.taken);
-            if (inst.taken && !btb_.lookup(inst.pc))
-                btb_.update(inst.pc, inst.target);
-            break;
-          case InstKind::Jump:
-          case InstKind::Call:
-            if (inst.kind == InstKind::Call)
-                ras_.push(inst.nextPc());
-            if (!btb_.lookup(inst.pc))
-                btb_.update(inst.pc, inst.target);
-            break;
-          case InstKind::IndirectJump:
-          case InstKind::IndirectCall:
-            if (inst.kind == InstKind::IndirectCall)
-                ras_.push(inst.nextPc());
-            indirectPred_.predict(inst.pc);
-            indirectPred_.update(inst.pc, inst.target);
-            break;
-          case InstKind::Return:
-            ras_.pop();
-            break;
-          default:
-            break;
-        }
-    }
-
-    if (has_pf) {
-        if (hierPf_)
-            hierPf_->onCommit(inst, cycle_);
-        else
-            pf_->onCommit(inst, cycle_);
-    }
+    return results;
 }
 
 void
 Simulator::fastForward(std::uint64_t insts)
 {
     panicIf(measuring(), "fastForward() after measurement began");
-    mode_ = SimMode::FastForward;
-    if (insts == 0) {
-        mode_ = SimMode::DetailedWarmup;
+    if (insts == 0)
         return;
-    }
+    mode_ = SimMode::FastForward;
 
     // Timing state cannot advance without the cycle loop: complete
     // every outstanding fill now so the caches reflect all issued
@@ -938,31 +888,70 @@ Simulator::fastForward(std::uint64_t insts)
     const bool has_pf = pf_ != nullptr;
     const std::uint64_t target = committed_ + insts;
     Addr cur_block = ~Addr(0);
-
-    // First consume what the decoupled front end already materialized
-    // past the commit point, then pull straight from the engine.
-    while (committed_ < target && !window_.empty()) {
-        const DynInst inst = window_.front();
-        window_.pop_front();
-        windowFetch_.pop_front();
+    while (committed_ < target) {
+        // What the decoupled front end already materialized past the
+        // commit point comes first, then the stream itself.
+        DynInst inst;
+        if (window_.empty()) {
+            if (!stream_->next(inst))
+                panic("workload stream ended unexpectedly");
+        } else {
+            inst = window_.front();
+            window_.pop_front();
+            windowFetch_.pop_front();
+        }
         if (scenEngine_ && inst.marker != StreamMarker::None)
             noteCommitMarker(inst, /*detailed=*/false);
-        ffStep(inst, has_pf, cur_block);
+
+        const Addr block = blockAlign(inst.pc);
+        if (block != cur_block) {
+            cur_block = block;
+            hier_.noteFetchBlock();
+            if (!perfect_) {
+                hier_.itlb().translate(block);
+                const bool hit = hier_.functionalTouch(block);
+                if (has_pf) {
+                    pf_->onDemandAccess(block, hit, cycle_, 0);
+                    // Let tick-driven machinery make progress and
+                    // drain the request queue without MSHR/timing
+                    // bookkeeping.
+                    if (hierPf_)
+                        hierPf_->tick(cycle_);
+                    else
+                        pf_->tick(cycle_);
+                    Addr req;
+                    while (pf_->popRequest(req)) {
+                        hier_.functionalPrefetch(req, Origin::Ext,
+                                                 cfg_.extPrefetchToL2);
+                    }
+                }
+                if (cfg_.trackReuse) {
+                    const std::uint64_t dist = reuse_.access(block);
+                    if (dist != ReuseDistanceTracker::kColdAccess)
+                        reuseHist_->sample(double(dist));
+                }
+            }
+        }
+
+        // The architectural path trains the predictors exactly as the
+        // prediction unit does; the BTB learns every direct target it
+        // misses on, mispredicted or not.
+        if (isControl(inst.kind)) {
+            trainPredictors(inst);
+            if (readsBtb(inst) && !btb_.lookup(inst.pc))
+                btb_.update(inst.pc, inst.target);
+        }
+
+        if (hierPf_)
+            hierPf_->onCommit(inst, cycle_);
+        else if (pf_)
+            pf_->onCommit(inst, cycle_);
         ++committed_;
         ++cycle_; // synthetic clock: keeps paced components moving
     }
-    while (committed_ < target) {
-        DynInst inst;
-        bool ok = stream_->next(inst);
-        panicIf(!ok, "workload stream ended unexpectedly");
-        if (scenEngine_ && inst.marker != StreamMarker::None)
-            noteCommitMarker(inst, /*detailed=*/false);
-        ffStep(inst, has_pf, cur_block);
-        ++committed_;
-        ++cycle_;
-    }
 
     resyncFrontEnd();
+    cyclePending_ = true;
     mode_ = SimMode::DetailedWarmup;
 }
 
@@ -1074,8 +1063,10 @@ Simulator::serializeState(Ar &ar)
     // (sim/sampling.cc) instead of paying construction per interval.
     // The mode is control state, not checkpoint state, so it is reset
     // rather than serialized and the byte stream is unchanged.
-    if constexpr (Ar::loading)
+    if constexpr (Ar::loading) {
         mode_ = SimMode::DetailedWarmup;
+        cyclePending_ = true;
+    }
 }
 
 template void Simulator::serializeState(StateWriter &);

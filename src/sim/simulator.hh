@@ -18,6 +18,7 @@
 #define HP_SIM_SIMULATOR_HH
 
 #include <memory>
+#include <vector>
 
 #include "cache/reuse_distance.hh"
 #include "frontend/btb.hh"
@@ -117,9 +118,10 @@ class Simulator
 
     /**
      * Runs the measurement phase from the warmup boundary and returns
-     * the metrics. Valid after runWarmup() on this instance or after
-     * a checkpoint restore into a freshly constructed instance; both
-     * produce bit-identical results to a plain run().
+     * the metrics. After runWarmup() on this instance, or after a
+     * checkpoint restore into a freshly constructed instance, the
+     * result is bit-identical to a plain run(); on a fresh instance
+     * it runs the warmup first.
      */
     SimMetrics finishRun();
 
@@ -136,10 +138,9 @@ class Simulator
     template <class Ar> void serializeState(Ar &ar);
 
     // ---- Segmented execution (the sampled-simulation building
-    // blocks; see sim/sampling.hh). All three enter and leave the
-    // engine at the same boundary convention as runWarmup: stopped
-    // after the commit that crossed the target, before the cycle
-    // advance — so any sequence of segments composes. ----
+    // blocks; see sim/sampling.hh). Every entry point stops at the
+    // same segment boundary, after the commit that crossed its target
+    // and before that cycle's advance, so any sequence composes. ----
 
     /**
      * Functionally fast-forwards @p insts commits: the architectural
@@ -183,10 +184,14 @@ class Simulator
     const StatsRegistry &stats() const { return registry_; }
 
   private:
-    friend class MultiCoreSimulator;
+    friend std::vector<SimMetrics>
+    runLockstep(const std::vector<std::unique_ptr<Simulator>> &cores);
 
     /** Sentinel fetch cycle for window slots fetch has not reached. */
     static constexpr Cycle kNotFetched = ~Cycle(0);
+
+    /** Cycle budget of a kernel call that runs to its target. */
+    static constexpr std::uint64_t kUnbounded = ~std::uint64_t(0);
 
     /**
      * One co-scheduled tenant's runtime: its profile, built app, and
@@ -250,6 +255,14 @@ class Simulator
         return windowFetch_[seq - windowBase_];
     }
 
+    /**
+     * Trains the conditional and indirect predictors and the RAS on
+     * @p inst's architectural outcome — the one training routine of
+     * both the prediction unit and fast-forward. @return true when
+     * the direction or target was mispredicted.
+     */
+    bool trainPredictors(const DynInst &inst);
+
     void stepPredict();
     void stepExtPrefetch();
     void stepFetch();
@@ -285,22 +298,30 @@ class Simulator
     bool measuring() const { return mode_ == SimMode::DetailedMeasure; }
 
     /**
-     * Detailed loop from one segment boundary to the next: completes
-     * the pending cycle advance, then steps until the commit that
-     * crosses @p target.
+     * The detailed kernel (DESIGN.md §8): completes the pending cycle
+     * advance, then steps cycles until the commit that crosses
+     * @p target, leaving that cycle's advance pending. Steps at most
+     * @p budget cycles, deducting them. @return true at the target.
      */
-    void runBoundaryTo(std::uint64_t target);
+    bool detailedTo(std::uint64_t target, std::uint64_t &budget);
 
-    /** One fast-forward instruction (see fastForward). */
-    void ffStep(const DynInst &inst, bool has_pf, Addr &cur_block);
+    /**
+     * A measurement phase: the warmup→measure transition (on first
+     * entry), the kernel to @p target, the closing cycle advance when
+     * @p close, and metrics_ from the registry delta. @return true
+     * once metrics_ holds the result.
+     */
+    bool measureTo(std::uint64_t target, bool close,
+                   std::uint64_t &budget);
+
+    /** run()'s protocol — kernel to the warmup boundary, then (unless
+     *  @p warmup_only) measureTo the end — resuming where the last
+     *  call stopped, at most @p budget cycles. @return true if done. */
+    bool runFor(std::uint64_t budget, bool warmup_only);
 
     /** Resynchronizes the decoupled front end to the commit point
      *  after a fast-forward segment. */
     void resyncFrontEnd();
-
-    /** Extracts SimMetrics from the measurement-phase registry delta
-     *  (the shared tail of finishRun and measureWindow). */
-    SimMetrics collectMetrics();
 
     /** Serializes the SoA window in the interleaved (AoS) byte layout
      *  the golden checkpoint blob pins. */
@@ -377,6 +398,10 @@ class Simulator
 
     std::uint64_t committed_ = 0;
     SimMode mode_ = SimMode::DetailedWarmup;
+    /** The last stepped cycle's advance is still due (false before
+     *  cycle 0 runs). Control state like mode_: set by a restore,
+     *  never serialized. */
+    bool cyclePending_ = false;
 
     // Reuse-distance probe (Figure 12).
     ReuseDistanceTracker reuse_;
@@ -400,6 +425,16 @@ class Simulator
     std::unique_ptr<obs::RequestSpanTracker> spanTracker_;
     bool obsFlushed_ = false;
 };
+
+/**
+ * Runs @p cores to completion in cycle-interleaved lockstep and
+ * returns each core's run() metrics (DESIGN.md §12). Every pass gives
+ * each unfinished core one cycle of its own run() in fixed core
+ * order, so contention on shared levels resolves deterministically
+ * and a one-core lockstep is the single-core run exactly.
+ */
+std::vector<SimMetrics>
+runLockstep(const std::vector<std::unique_ptr<Simulator>> &cores);
 
 } // namespace hp
 

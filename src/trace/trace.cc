@@ -116,7 +116,7 @@ TraceWriter::close()
     closed_ = true;
 }
 
-TraceReader::TraceReader(const std::string &path)
+TraceReader::TraceReader(const std::string &path) : path_(path)
 {
     file_ = std::fopen(path.c_str(), "rb");
     fatalIf(file_ == nullptr, "cannot open trace for reading: " + path);
@@ -142,8 +142,13 @@ TraceReader::next(DynInst &inst)
         return false;
     PackedRecord rec;
     std::size_t n = std::fread(&rec, sizeof(rec), 1, file_);
-    if (n != 1)
-        return false;
+    // The header promised more records than the file holds: a cut-off
+    // copy or a writer that died mid-trace, never a normal end.
+    if (n != 1) {
+        fatal("truncated trace " + path_ + ": expected " +
+              std::to_string(total_) + " records, read " +
+              std::to_string(consumed_));
+    }
     inst = unpack(rec);
     ++consumed_;
     return true;

@@ -64,7 +64,8 @@ class TraceWriter
 class TraceReader : public InstStream
 {
   public:
-    /** Opens @p path; fatals on bad magic/version. */
+    /** Opens @p path; fatals on bad magic/version. next() fatals on
+     *  a file holding fewer records than its header promises. */
     explicit TraceReader(const std::string &path);
 
     ~TraceReader() override;
@@ -81,6 +82,7 @@ class TraceReader : public InstStream
 
   private:
     std::FILE *file_ = nullptr;
+    std::string path_;
     std::uint64_t total_ = 0;
     std::uint64_t consumed_ = 0;
 };

@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "sim/executor.hh"
+#include "sim/run_report.hh"
+#include "workload/program_builder.hh"
 
 namespace hp
 {
@@ -147,6 +149,38 @@ TEST(ExecutorTest, RunAllPreservesSubmissionOrder)
         EXPECT_EQ(results[i].cycles, direct.cycles);
         EXPECT_EQ(results[i].instructions, direct.instructions);
     }
+}
+
+TEST(ExecutorTest, ReportListsRunsInSubmissionOrder)
+{
+    // Two workers, a long simulation submitted before a short one: the
+    // short one finishes first, but the report follows submission.
+    const SimConfig long_cfg =
+        tinyConfig("caddy", PrefetcherKind::None, 103'000, 607'000);
+    const SimConfig short_cfg =
+        tinyConfig("caddy", PrefetcherKind::None, 101'000, 3'000);
+    ProgramBuilder::cached(appProfile("caddy")); // keep builds out of it
+
+    RunReportLog::enable();
+    RunReportLog::clear();
+    {
+        Executor executor(2);
+        std::shared_future<SimMetrics> first = executor.submit(long_cfg);
+        std::shared_future<SimMetrics> second =
+            executor.submit(short_cfg);
+        first.get();
+        second.get();
+    }
+    const std::string doc = RunReportLog::documentJson();
+    RunReportLog::clear();
+
+    const std::size_t long_at =
+        doc.find('"' + ExperimentRunner::configKey(long_cfg) + '"');
+    const std::size_t short_at =
+        doc.find('"' + ExperimentRunner::configKey(short_cfg) + '"');
+    ASSERT_NE(long_at, std::string::npos);
+    ASSERT_NE(short_at, std::string::npos);
+    EXPECT_LT(long_at, short_at);
 }
 
 } // namespace

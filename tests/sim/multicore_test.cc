@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "sim/multicore.hh"
@@ -117,6 +118,37 @@ TEST(MultiCoreTest, ContextSwitchesFireOnSharedCore)
     // boundary effects — at least half must fire in measurement.
     EXPECT_GE(m.stats.value("mt.context_switches"), 4u);
     EXPECT_EQ(m.stats.value("mt.cores"), 1u);
+}
+
+TEST(MultiCoreTest, OneCoreLockstepMatchesDirectCore)
+{
+    // A one-core consolidation steps its only core through the same
+    // kernel as Simulator::run(): the lockstep loop must add no
+    // cycle, transition or collection point of its own.
+    SimConfig cfg = consolidationConfig();
+    cfg.mt.cores = 1;
+    cfg.mt.partitionMetadata = true;
+    MultiCoreSimulator multi(cfg);
+    multi.run();
+    ASSERT_EQ(multi.coreCount(), 1u);
+
+    // The core config MultiCoreSimulator derives for core 0.
+    SimConfig core_cfg = cfg;
+    core_cfg.mt = MultiTenantConfig{};
+    core_cfg.workload = cfg.mt.tenants.front();
+    const SimMetrics direct =
+        Simulator(core_cfg,
+                  CoreInit{0,
+                           std::make_shared<SharedLevels>(core_cfg.mem,
+                                                          8, 4),
+                           cfg.mt.tenants, 20'000, true})
+            .run();
+
+    const StatsSnapshot &lockstep = multi.coreResult(0).stats;
+    ASSERT_EQ(lockstep.size(), direct.stats.size());
+    for (std::size_t i = 0; i < lockstep.size(); ++i)
+        EXPECT_EQ(lockstep.entries()[i], direct.stats.entries()[i]);
+    EXPECT_EQ(direct.cycles, 285'101u);
 }
 
 TEST(MultiCoreTest, SingleTenantRegistryOmitsSwitchCounter)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "trace/trace.hh"
@@ -101,6 +102,37 @@ TEST(TraceDeathTest, RejectsGarbageFile)
     std::fwrite(junk, 1, sizeof(junk), f);
     std::fclose(f);
     EXPECT_DEATH({ TraceReader reader(path); }, "not a trace file");
+    std::remove(path.c_str());
+}
+
+TEST(TraceDeathTest, TruncatedTraceIsAnError)
+{
+    // A trace cut short (interrupted copy, full disk) must not replay
+    // as a shorter stream: the header promises more records than the
+    // file holds, so reading past the cut is fatal.
+    const std::string empty_path = tempPath("truncated-empty.hpt");
+    const std::string path = tempPath("truncated.hpt");
+    {
+        TraceWriter empty(empty_path);
+        empty.close();
+        TraceWriter writer(path);
+        for (unsigned i = 0; i < 10; ++i)
+            writer.write(sample(i));
+        writer.close();
+    }
+    const auto header_bytes = std::filesystem::file_size(empty_path);
+    const auto full_bytes = std::filesystem::file_size(path);
+    const auto record_bytes = (full_bytes - header_bytes) / 10;
+    std::filesystem::resize_file(path, full_bytes - record_bytes);
+
+    EXPECT_DEATH(
+        {
+            TraceReader reader(path);
+            DynInst inst;
+            while (reader.next(inst)) {}
+        },
+        "truncated trace .*truncated\\.hpt.*expected 10 records, read 9");
+    std::remove(empty_path.c_str());
     std::remove(path.c_str());
 }
 
