@@ -46,8 +46,8 @@ fi
 run_stage() {
     local dir="$1"; shift
     cmake -B "$dir" -S . "$@"
-    cmake --build "$dir" -j
-    (cd "$dir" && ctest --output-on-failure -j)
+    cmake --build "$dir" -j"$(nproc)"
+    (cd "$dir" && ctest --output-on-failure -j"$(nproc)")
 }
 
 stage="${1:-}"
@@ -81,9 +81,9 @@ if [[ "$stage" != "--no-sanitizers" && "$stage" != "--asan-only" &&
       "$stage" != "--ubsan-only" ]]; then
     # TSan over the concurrency surface only (see header comment).
     cmake -B build-tsan -S . -DHP_SANITIZE=thread
-    cmake --build build-tsan -j
+    cmake --build build-tsan -j"$(nproc)"
     (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ctest \
-        --output-on-failure -j \
+        --output-on-failure -j"$(nproc)" \
         -R 'Executor|MultiCore|RuntimeOptions|RequestSpan|multi_tenant_equivalence|consolidation_scaling|tail_attribution_smoke')
 fi
 

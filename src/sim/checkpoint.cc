@@ -5,9 +5,11 @@
 #include <filesystem>
 #include <fstream>
 
+#include "obs/obs.hh"
 #include "sim/runner.hh"
 #include "sim/runtime_options.hh"
 #include "sim/simulator.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
@@ -22,7 +24,7 @@ constexpr char kMagic[8] = {'H', 'P', 'C', 'K', 'P', 'T', '0', '\n'};
 
 /**
  * Removes a checkpoint file that failed validation. The file name is
- * derived from the warmup-config hash, so a blob that fails the
+ * the hash of the key the blob must carry, so a blob that fails the
  * version or key check under its own name can never load again —
  * leaving it would just re-fail (and leak disk) on every future run.
  */
@@ -66,6 +68,18 @@ warmupConfig(const SimConfig &config)
     // workload share one checkpoint class.
     w.sample = SampleConfig{};
     return w;
+}
+
+std::string
+checkpointKey(const SimConfig &config)
+{
+    std::string key = ExperimentRunner::configKey(warmupConfig(config));
+    // CacheHierarchy::serializeState appends the miss-attribution
+    // state only when attribution runs, so the two blob layouts are
+    // distinct classes. Absent when off: the golden blob's key holds.
+    if (obs::config().attributionEnabled())
+        key += "|attr";
+    return key;
 }
 
 Checkpoint
@@ -162,16 +176,17 @@ Checkpoint::decode(const std::vector<std::uint8_t> &bytes,
 CheckpointStore::Acquire
 CheckpointStore::acquire(const SimConfig &warmup_config)
 {
-    const std::uint64_t hash = configHash(warmup_config);
+    const std::string key = checkpointKey(warmup_config);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::unique_ptr<Slot>> &bucket = slots_[hash];
+    std::vector<std::unique_ptr<Slot>> &bucket = slots_[hashString(key)];
     for (const std::unique_ptr<Slot> &slot : bucket) {
-        if (slot->config == warmup_config)
+        if (slot->key == key && slot->config == warmup_config)
             return Acquire{slot->future, false};
     }
 
     auto slot = std::make_unique<Slot>();
+    slot->key = key;
     slot->config = warmup_config;
     slot->future = slot->promise.get_future().share();
     Acquire acquire{slot->future, true};
@@ -183,11 +198,12 @@ void
 CheckpointStore::publish(const SimConfig &warmup_config,
                          CheckpointPtr ckpt)
 {
-    const std::uint64_t hash = configHash(warmup_config);
+    const std::string key = checkpointKey(warmup_config);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::unique_ptr<Slot> &slot : slots_[hash]) {
-        if (slot->config != warmup_config || slot->published)
+    for (std::unique_ptr<Slot> &slot : slots_[hashString(key)]) {
+        if (slot->key != key || slot->config != warmup_config ||
+            slot->published)
             continue;
         slot->promise.set_value(std::move(ckpt));
         slot->published = true;
@@ -220,10 +236,11 @@ checkpointDir()
 }
 
 std::string
-checkpointFileName(const SimConfig &warmup_config)
+checkpointFileName(const std::string &key)
 {
-    return warmup_config.workload + "-" +
-           hexHash(configHash(warmup_config)) + ".ckpt";
+    // configKey leads with the workload, kept as a readable prefix.
+    return key.substr(0, key.find('|')) + "-" + hexHash(hashString(key)) +
+           ".ckpt";
 }
 
 bool
@@ -304,27 +321,13 @@ loadCheckpointFile(const std::string &path,
 }
 
 std::string
-intervalCheckpointKey(const SimConfig &measurement_config,
-                      std::uint64_t start_inst,
+intervalCheckpointKey(const SimConfig &config, std::uint64_t start_inst,
                       std::uint64_t warm_insts)
 {
-    // The "w" marks the detailed-warmup suffix baked into the state;
-    // it also keeps these keys disjoint from the pre-warmup "iv@<rel>"
-    // blobs of the earlier format, which are stale under this scheme.
-    return ExperimentRunner::configKey(measurement_config) + "|iv@" +
-           std::to_string(start_inst) + "w" +
-           std::to_string(warm_insts);
-}
-
-std::string
-intervalCheckpointFileName(const SimConfig &measurement_config,
-                           std::uint64_t start_inst,
-                           std::uint64_t warm_insts)
-{
-    return measurement_config.workload + "-iv-" +
-           hexHash(configHash(measurement_config)) + "-" +
-           std::to_string(start_inst) + "w" +
-           std::to_string(warm_insts) + ".ckpt";
+    // The "w" separates the detailed-warmup length baked into the
+    // state from the position, so no two pairs concatenate alike.
+    return checkpointKey(config) + "|iv@" + std::to_string(start_inst) +
+           "w" + std::to_string(warm_insts);
 }
 
 bool
@@ -336,57 +339,74 @@ checkpointingEnabled(const SimConfig &config)
     return env == nullptr || std::strcmp(env, "0") != 0;
 }
 
-std::shared_ptr<const Checkpoint>
-acquireWarmedCheckpoint(const SimConfig &config)
+namespace
 {
-    const SimConfig wcfg = warmupConfig(config);
-    const std::string key = ExperimentRunner::configKey(wcfg);
 
-    auto produce = [&config, &key] {
-        Simulator sim(config);
-        sim.runWarmup();
+/**
+ * Fetches @p config's class checkpoint from the store or HP_CKPT_DIR,
+ * or produces it — warming a Simulator created in @p sim, which then
+ * stands at the warmup boundary so the producer can continue without
+ * a restore — and publishes and spills it. With checkpointing
+ * disabled the blob is private. Never returns nullptr.
+ */
+std::shared_ptr<const Checkpoint>
+classCheckpoint(const SimConfig &config, std::unique_ptr<Simulator> &sim)
+{
+    const std::string key = checkpointKey(config);
+    auto produce = [&] {
+        sim = std::make_unique<Simulator>(config);
+        sim->runWarmup();
         return std::make_shared<const Checkpoint>(
-            Checkpoint::capture(sim, key));
+            Checkpoint::capture(*sim, key));
     };
 
     if (!checkpointingEnabled(config))
         return produce();
 
+    const SimConfig wcfg = warmupConfig(config);
     CheckpointStore &store = CheckpointStore::global();
     CheckpointStore::Acquire acq = store.acquire(wcfg);
     if (!acq.owner) {
-        std::shared_ptr<const Checkpoint> ckpt = acq.future.get();
-        if (ckpt)
+        if (std::shared_ptr<const Checkpoint> ckpt = acq.future.get())
             return ckpt;
         // The producing requester failed; fall back to a private
         // warmup rather than failing this experiment too.
         return produce();
     }
 
+    // Cross-process reuse: a prior run may have spilled this class.
     const std::string dir = checkpointDir();
+    std::shared_ptr<const Checkpoint> ckpt;
     if (!dir.empty()) {
         std::string error;
-        std::shared_ptr<const Checkpoint> ckpt = loadCheckpointFile(
-            (std::filesystem::path(dir) / checkpointFileName(wcfg))
-                .string(),
+        ckpt = loadCheckpointFile(
+            (std::filesystem::path(dir) / checkpointFileName(key)).string(),
             key, &error);
-        if (ckpt) {
-            store.publish(wcfg, ckpt);
-            return ckpt;
-        }
+    }
+    if (ckpt) {
+        store.publish(wcfg, ckpt);
+        return ckpt;
     }
 
-    std::shared_ptr<const Checkpoint> fresh;
     try {
-        fresh = produce();
+        ckpt = produce();
     } catch (...) {
         store.publish(wcfg, nullptr);
         throw;
     }
-    store.publish(wcfg, fresh);
+    store.publish(wcfg, ckpt);
     if (!dir.empty())
-        saveCheckpointFile(dir, checkpointFileName(wcfg), *fresh);
-    return fresh;
+        saveCheckpointFile(dir, checkpointFileName(key), *ckpt);
+    return ckpt;
+}
+
+} // namespace
+
+std::shared_ptr<const Checkpoint>
+acquireWarmedCheckpoint(const SimConfig &config)
+{
+    std::unique_ptr<Simulator> unused;
+    return classCheckpoint(config, unused);
 }
 
 SimMetrics
@@ -397,59 +417,17 @@ runCheckpointed(const SimConfig &config)
         return sim.run();
     }
 
-    const SimConfig wcfg = warmupConfig(config);
-    CheckpointStore &store = CheckpointStore::global();
-    CheckpointStore::Acquire acq = store.acquire(wcfg);
+    std::unique_ptr<Simulator> sim;
+    std::shared_ptr<const Checkpoint> ckpt = classCheckpoint(config, sim);
+    if (sim)
+        return sim->finishRun(); // this caller warmed it up itself
 
-    if (acq.owner) {
-        const std::string key = ExperimentRunner::configKey(wcfg);
-        const std::string dir = checkpointDir();
-
-        // Cross-process reuse: a prior run may have spilled this class.
-        if (!dir.empty()) {
-            std::string error;
-            std::shared_ptr<const Checkpoint> ckpt = loadCheckpointFile(
-                (std::filesystem::path(dir) / checkpointFileName(wcfg))
-                    .string(),
-                key, &error);
-            if (ckpt) {
-                Simulator sim(config);
-                if (ckpt->restoreInto(sim, &error)) {
-                    store.publish(wcfg, ckpt);
-                    return sim.finishRun();
-                }
-                HP_WARN_LIMIT(8, "ignoring unusable checkpoint: " +
-                                     error);
-            }
-        }
-
-        // Produce the class checkpoint with this config's own warmup;
-        // the producer continues directly, paying no restore cost.
-        Simulator sim(config);
-        std::shared_ptr<const Checkpoint> fresh;
-        try {
-            sim.runWarmup();
-            fresh = std::make_shared<const Checkpoint>(
-                Checkpoint::capture(sim, key));
-        } catch (...) {
-            store.publish(wcfg, nullptr);
-            throw;
-        }
-        store.publish(wcfg, fresh);
-        if (!dir.empty())
-            saveCheckpointFile(dir, checkpointFileName(wcfg), *fresh);
-        return sim.finishRun();
-    }
-
-    std::shared_ptr<const Checkpoint> ckpt = acq.future.get();
-    if (ckpt) {
-        Simulator sim(config);
-        std::string error;
-        if (ckpt->restoreInto(sim, &error))
-            return sim.finishRun();
-        HP_WARN_LIMIT(8, "checkpoint restore failed (" + error +
-                             "); running cold");
-    }
+    Simulator restored(config);
+    std::string error;
+    if (ckpt->restoreInto(restored, &error))
+        return restored.finishRun();
+    HP_WARN_LIMIT(8, "checkpoint restore failed (" + error +
+                         "); running cold");
     Simulator cold(config);
     return cold.run();
 }

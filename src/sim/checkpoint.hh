@@ -7,9 +7,10 @@
  *
  * Two configs belong to the same class when warmupConfig() — the
  * config with every warmup-irrelevant field pinned to a fixed value —
- * compares equal. The CheckpointStore dedups in-flight warmups with
- * the same future-based scheme as the runner's result cache, so
- * concurrent grid points block on the one warmup instead of racing.
+ * compares equal and the blob layout matches (checkpointKey()). The
+ * CheckpointStore dedups in-flight warmups with the same future-based
+ * scheme as the runner's result cache, so concurrent grid points
+ * block on the one warmup instead of racing.
  * With HP_CKPT_DIR set, checkpoints are also spilled to disk and
  * reused across processes (see DESIGN.md §8 for the blob format).
  *
@@ -52,6 +53,15 @@ constexpr std::uint32_t kCheckpointFormatVersion = 1;
  * are only read at or after the warmup boundary.
  */
 SimConfig warmupConfig(const SimConfig &config);
+
+/**
+ * The identity of @p config's warmup class: configKey(warmupConfig())
+ * plus a "|attr" flag when obs miss attribution is on, whose state
+ * CacheHierarchy appends to the blob. Every checkpoint blob carries
+ * a key derived from it, the store buckets on it, and its hash names
+ * the blob's file.
+ */
+std::string checkpointKey(const SimConfig &config);
 
 /**
  * An immutable post-warmup state blob plus the warmup-config key that
@@ -127,6 +137,7 @@ class CheckpointStore
   private:
     struct Slot
     {
+        std::string key;
         SimConfig config;
         std::promise<CheckpointPtr> promise;
         std::shared_future<CheckpointPtr> future;
@@ -141,8 +152,9 @@ class CheckpointStore
 /** HP_CKPT_DIR, or empty when disk spill is disabled. */
 std::string checkpointDir();
 
-/** File name for a class: "<workload>-<warmup-config-hash>.ckpt". */
-std::string checkpointFileName(const SimConfig &warmup_config);
+/** File name of the blob keyed @p key (a checkpointKey() or an
+ *  intervalCheckpointKey()): "<workload>-<hash of key>.ckpt". */
+std::string checkpointFileName(const std::string &key);
 
 /** Atomically (tmp + rename) writes @p ckpt under @p dir. */
 bool saveCheckpointFile(const std::string &dir,
@@ -165,26 +177,22 @@ loadCheckpointFile(const std::string &path,
 bool checkpointingEnabled(const SimConfig &config);
 
 /**
- * Key / file name for a *mid-stream interval fork* blob: the window
- * simulator state @p start_inst committed instructions past the
- * warmup boundary, reached by fast-forwarding to
- * (start_inst - warm_insts) and then running @p warm_insts detailed
- * (non-measuring) instructions — i.e. the state a measurement window
- * starts from, detailed warmup included, so a cache hit pays only the
- * window itself. Keyed by the measurement config (sample pinned off —
- * the instruction stream does not depend on where the windows fall)
- * plus both positions, so every sampled run with the same config and
- * detail-warmup length, in any process, shares the same fork blobs.
- * Positions are relative to the boundary, never absolute, so a blob
- * can be addressed without first restoring the warmup checkpoint.
+ * Key for a *mid-stream interval fork* blob: the window simulator
+ * state @p start_inst committed instructions past the warmup
+ * boundary, reached by fast-forwarding to (start_inst - warm_insts)
+ * and then running @p warm_insts detailed (non-measuring)
+ * instructions — i.e. the state a measurement window starts from,
+ * detailed warmup included, so a cache hit pays only the window
+ * itself. Keyed by checkpointKey(@p config) — neither the window
+ * placement nor the fields warmupConfig() pins are read on the way
+ * there — plus both positions, so every sampled run of the same class
+ * and detail-warmup length, in any process, shares the same fork
+ * blobs. Positions are relative to the boundary, never absolute, so a
+ * blob can be addressed without first restoring the warmup checkpoint.
  */
-std::string intervalCheckpointKey(const SimConfig &measurement_config,
+std::string intervalCheckpointKey(const SimConfig &config,
                                   std::uint64_t start_inst,
                                   std::uint64_t warm_insts);
-std::string
-intervalCheckpointFileName(const SimConfig &measurement_config,
-                           std::uint64_t start_inst,
-                           std::uint64_t warm_insts);
 
 /**
  * Runs @p config to completion, reusing (or creating) the shared

@@ -236,7 +236,7 @@ struct SimConfig : CoreConfig
      * ScenarioEngine built from the parsed spec instead of the single
      * `workload` RequestEngine, and SimMetrics carries a latency
      * report. The text (not a file path) lives in the config so
-     * configHash covers exactly what the simulation consumed.
+     * configKey covers exactly what the simulation consumed.
      */
     std::string scenario;
 
@@ -260,7 +260,7 @@ struct SimConfig : CoreConfig
 };
 
 /**
- * 64-bit hash over every outcome-affecting field; the dedup key of the
+ * 64-bit hash of ExperimentRunner::configKey(); the bucket of the
  * experiment cache. Collisions are resolved with operator==.
  */
 std::uint64_t configHash(const SimConfig &config);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstddef>
 #include <mutex>
-#include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -21,26 +23,6 @@ namespace hp
 namespace
 {
 
-std::uint64_t
-hashString(std::uint64_t seed, const std::string &s)
-{
-    std::uint64_t h = hashCombine(seed, s.size());
-    for (char c : s)
-        h = hashCombine(h, static_cast<unsigned char>(c));
-    return h;
-}
-
-std::uint64_t
-hashDouble(std::uint64_t seed, double d)
-{
-    // Bit-pattern hash: configs are compared with ==, and the doubles
-    // involved are set from literals, never computed.
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    return hashCombine(seed, bits);
-}
-
 /**
  * One cache slot: the full config for collision resolution plus the
  * shared future every requester blocks on.
@@ -55,203 +37,145 @@ std::mutex g_mutex;
 std::unordered_map<std::uint64_t, std::vector<CacheSlot>> g_cache;
 std::atomic<std::size_t> g_runs{0};
 
+/**
+ * Converts to any type, so brace-initializing an aggregate with N of
+ * these compiles exactly when the aggregate has at least N fields.
+ */
+struct AnyField
+{
+    template <class T> operator T() const;
+};
+
+template <class T, class... Fields>
+consteval std::size_t
+fieldCount()
+{
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return fieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
+}
+
+// configKey is the only list of config fields; these trip whenever a
+// field is added or removed without it (a base class counts as one).
+static_assert(fieldCount<CoreConfig>() == 13, "update configKey");
+static_assert(fieldCount<HierarchyParams>() == 17, "update configKey");
+static_assert(fieldCount<EFetchConfig>() == 5, "update configKey");
+static_assert(fieldCount<ManaConfig>() == 4, "update configKey");
+static_assert(fieldCount<EipConfig>() == 5, "update configKey");
+static_assert(fieldCount<RdipConfig>() == 3, "update configKey");
+static_assert(fieldCount<HierarchicalConfig>() == 10, "update configKey");
+static_assert(fieldCount<SampleConfig>() == 4, "update configKey");
+static_assert(fieldCount<MultiTenantConfig>() == 7, "update configKey");
+static_assert(fieldCount<SimConfig>() == 18, "update configKey");
+
+/** Appends @p v to a config key: integers in decimal, bools as 0/1,
+ *  doubles in shortest round-trip form, strings verbatim. */
+template <class T>
+void
+appendField(std::string &key, const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        key += v;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        key += v ? '1' : '0';
+    } else {
+        char buf[32];
+        key.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    }
+}
+
+/** Appends @p lead, then @p fields separated by @p sep. */
+template <class... Fields>
+void
+appendFields(std::string &key, const char *lead, char sep,
+             const Fields &...fields)
+{
+    key += lead;
+    ((appendField(key, fields), key += sep), ...);
+    key.pop_back();
+}
+
 } // namespace
 
 std::uint64_t
 configHash(const SimConfig &c)
 {
-    std::uint64_t h = hashString(0x9e3779b97f4a7c15ULL, c.workload);
-    for (std::uint64_t v :
-         {std::uint64_t(c.warmupInsts), std::uint64_t(c.measureInsts),
-          std::uint64_t(c.ftqEntries),
-          std::uint64_t(c.fetchBytesPerCycle),
-          std::uint64_t(c.bpBlocksPerCycle), std::uint64_t(c.btbEntries),
-          std::uint64_t(c.btbWays), std::uint64_t(c.rasDepth),
-          std::uint64_t(c.btbMissPenalty),
-          std::uint64_t(c.mispredictPenalty),
-          std::uint64_t(c.pipelineDepth), std::uint64_t(c.commitWidth),
-          std::uint64_t(c.robEntries),
-          std::uint64_t(c.backendStallPermille),
-          std::uint64_t(c.backendStallCycles)}) {
-        h = hashCombine(h, v);
-    }
-
-    const HierarchyParams &m = c.mem;
-    for (std::uint64_t v :
-         {std::uint64_t(m.l1iBytes), std::uint64_t(m.l1iWays),
-          std::uint64_t(m.l1iLatency), std::uint64_t(m.l1iMshrs),
-          std::uint64_t(m.l2Bytes), std::uint64_t(m.l2Ways),
-          std::uint64_t(m.l2Latency), std::uint64_t(m.llcBytes),
-          std::uint64_t(m.llcWays), std::uint64_t(m.llcLatency),
-          std::uint64_t(m.memLatency), std::uint64_t(m.itlbEntries),
-          std::uint64_t(m.itlbWalkLatency),
-          std::uint64_t(m.mshrsReservedForDemand),
-          std::uint64_t(m.metadataDramEvery)}) {
-        h = hashCombine(h, v);
-    }
-    h = hashDouble(h, m.l2InstFraction);
-    h = hashDouble(h, m.llcInstFraction);
-
-    h = hashCombine(h, std::uint64_t(c.prefetcher));
-    for (std::uint64_t v :
-         {std::uint64_t(c.efetch.tableEntries),
-          std::uint64_t(c.efetch.signatureDepth),
-          std::uint64_t(c.efetch.calleesPerEntry),
-          std::uint64_t(c.efetch.lookahead),
-          std::uint64_t(c.efetch.footprintEntries),
-          std::uint64_t(c.mana.regionBlocks),
-          std::uint64_t(c.mana.historyRegions),
-          std::uint64_t(c.mana.indexEntries),
-          std::uint64_t(c.mana.lookahead),
-          std::uint64_t(c.eip.tableEntries),
-          std::uint64_t(c.eip.tableWays),
-          std::uint64_t(c.eip.historyEntries),
-          std::uint64_t(c.eip.maxTargets),
-          std::uint64_t(c.eip.targetRunBlocks),
-          std::uint64_t(c.rdip.tableEntries),
-          std::uint64_t(c.rdip.signatureDepth),
-          std::uint64_t(c.rdip.blocksPerEntry),
-          std::uint64_t(c.hier.compressionEntries),
-          std::uint64_t(c.hier.metadataBufferBytes),
-          std::uint64_t(c.hier.matEntries),
-          std::uint64_t(c.hier.matWays),
-          std::uint64_t(c.hier.maxSegmentsPerBundle),
-          std::uint64_t(c.hier.aheadSegments),
-          std::uint64_t(c.hier.replayDedup),
-          std::uint64_t(c.hier.subSegmentPacing),
-          std::uint64_t(c.hier.supersedeRecords),
-          std::uint64_t(c.hier.trackBundleStats),
-          std::uint64_t(c.extPrefetchToL2),
-          std::uint64_t(c.extPrefetchesPerCycle),
-          std::uint64_t(c.trackReuse)}) {
-        h = hashCombine(h, v);
-    }
-    h = hashDouble(h, c.longRangePercentile);
-
-    for (std::uint64_t v :
-         {std::uint64_t(c.sample.intervals), c.sample.windowInsts,
-          c.sample.detailWarmupInsts, c.sample.seed}) {
-        h = hashCombine(h, v);
-    }
-    // Mixed in only when set, so hashes of scenario-less configs are
-    // unchanged from before the field existed.
-    if (!c.scenario.empty())
-        h = hashString(h, c.scenario);
-
-    // Multi-tenant block: mixed in only when enabled, keeping every
-    // pre-existing single-core hash byte-stable.
-    if (c.mt.enabled()) {
-        h = hashCombine(h, std::uint64_t(c.mt.tenants.size()));
-        for (const std::string &t : c.mt.tenants)
-            h = hashString(h, t);
-        for (std::uint64_t v :
-             {std::uint64_t(c.mt.cores), c.mt.switchQuantum,
-              std::uint64_t(c.mt.partitionMetadata),
-              std::uint64_t(c.mt.metadataReadBytesPerCycle),
-              std::uint64_t(c.mt.dramFillGapCycles),
-              std::uint64_t(c.mt.coreOverrides.size())}) {
-            h = hashCombine(h, v);
-        }
-        for (const CoreConfig &cc : c.mt.coreOverrides) {
-            for (std::uint64_t v :
-                 {std::uint64_t(cc.ftqEntries),
-                  std::uint64_t(cc.fetchBytesPerCycle),
-                  std::uint64_t(cc.bpBlocksPerCycle),
-                  std::uint64_t(cc.btbEntries),
-                  std::uint64_t(cc.btbWays), std::uint64_t(cc.rasDepth),
-                  std::uint64_t(cc.btbMissPenalty),
-                  std::uint64_t(cc.mispredictPenalty),
-                  std::uint64_t(cc.pipelineDepth),
-                  std::uint64_t(cc.commitWidth),
-                  std::uint64_t(cc.robEntries),
-                  std::uint64_t(cc.backendStallPermille),
-                  std::uint64_t(cc.backendStallCycles)}) {
-                h = hashCombine(h, v);
-            }
-        }
-    }
-    return h;
+    return hashString(ExperimentRunner::configKey(c));
 }
 
 std::string
 ExperimentRunner::configKey(const SimConfig &c)
 {
-    std::ostringstream key;
-    key << c.workload << '|' << c.warmupInsts << '|' << c.measureInsts
-        << '|' << c.ftqEntries << '|' << c.fetchBytesPerCycle << '|'
-        << c.bpBlocksPerCycle << '|' << c.btbEntries << '|' << c.btbWays
-        << '|' << c.rasDepth << '|' << c.btbMissPenalty << '|'
-        << c.mispredictPenalty << '|' << c.pipelineDepth << '|'
-        << c.commitWidth << '|' << c.robEntries << '|'
-        << c.backendStallPermille << '|' << c.backendStallCycles << '|';
+    std::string key;
+    auto core = [&key](const char *lead, char sep, const CoreConfig &cc) {
+        appendFields(key, lead, sep, cc.ftqEntries, cc.fetchBytesPerCycle,
+                     cc.bpBlocksPerCycle, cc.btbEntries, cc.btbWays,
+                     cc.rasDepth, cc.btbMissPenalty, cc.mispredictPenalty,
+                     cc.pipelineDepth, cc.commitWidth, cc.robEntries,
+                     cc.backendStallPermille, cc.backendStallCycles);
+    };
+    appendFields(key, "", '|', c.workload, c.warmupInsts, c.measureInsts);
+    core("|", '|', c);
 
     const HierarchyParams &m = c.mem;
-    key << m.l1iBytes << ',' << m.l1iWays << ',' << m.l1iLatency << ','
-        << m.l1iMshrs << ',' << m.l2Bytes << ',' << m.l2Ways << ','
-        << m.l2Latency << ',' << m.l2InstFraction << ',' << m.llcBytes
-        << ',' << m.llcWays << ',' << m.llcLatency << ','
-        << m.llcInstFraction << ',' << m.memLatency << ','
-        << m.itlbEntries << ',' << m.itlbWalkLatency << ','
-        << m.mshrsReservedForDemand << ',' << m.metadataDramEvery << '|';
+    appendFields(key, "|", ',', m.l1iBytes, m.l1iWays, m.l1iLatency,
+                 m.l1iMshrs, m.l2Bytes, m.l2Ways, m.l2Latency,
+                 m.l2InstFraction, m.llcBytes, m.llcWays, m.llcLatency,
+                 m.llcInstFraction, m.memLatency, m.itlbEntries,
+                 m.itlbWalkLatency, m.mshrsReservedForDemand,
+                 m.metadataDramEvery);
 
-    key << int(c.prefetcher) << '|';
-    key << c.efetch.tableEntries << ',' << c.efetch.signatureDepth << ','
-        << c.efetch.calleesPerEntry << ',' << c.efetch.lookahead << ','
-        << c.efetch.footprintEntries << '|';
-    key << c.mana.regionBlocks << ',' << c.mana.historyRegions << ','
-        << c.mana.indexEntries << ',' << c.mana.lookahead << '|';
-    key << c.eip.tableEntries << ',' << c.eip.tableWays << ','
-        << c.eip.historyEntries << ',' << c.eip.maxTargets << ','
-        << c.eip.targetRunBlocks << '|';
-    key << c.rdip.tableEntries << ',' << c.rdip.signatureDepth << ','
-        << c.rdip.blocksPerEntry << '|';
-    key << c.hier.compressionEntries << ',' << c.hier.metadataBufferBytes
-        << ',' << c.hier.matEntries << ',' << c.hier.matWays << ','
-        << c.hier.maxSegmentsPerBundle << ',' << c.hier.aheadSegments
-        << ',' << c.hier.replayDedup << ','
-        << c.hier.subSegmentPacing << ','
-        << c.hier.supersedeRecords << ','
-        << c.hier.trackBundleStats << '|';
-    key << c.extPrefetchToL2 << '|' << c.extPrefetchesPerCycle << '|'
-        << c.trackReuse << '|' << c.longRangePercentile;
+    appendFields(key, "|", '|', int(c.prefetcher));
+    appendFields(key, "|", ',', c.efetch.tableEntries,
+                 c.efetch.signatureDepth, c.efetch.calleesPerEntry,
+                 c.efetch.lookahead, c.efetch.footprintEntries);
+    appendFields(key, "|", ',', c.mana.regionBlocks,
+                 c.mana.historyRegions, c.mana.indexEntries,
+                 c.mana.lookahead);
+    appendFields(key, "|", ',', c.eip.tableEntries, c.eip.tableWays,
+                 c.eip.historyEntries, c.eip.maxTargets,
+                 c.eip.targetRunBlocks);
+    appendFields(key, "|", ',', c.rdip.tableEntries,
+                 c.rdip.signatureDepth, c.rdip.blocksPerEntry);
+    appendFields(key, "|", ',', c.hier.compressionEntries,
+                 c.hier.metadataBufferBytes, c.hier.matEntries,
+                 c.hier.matWays, c.hier.maxSegmentsPerBundle,
+                 c.hier.aheadSegments, c.hier.replayDedup,
+                 c.hier.subSegmentPacing, c.hier.supersedeRecords,
+                 c.hier.trackBundleStats);
+    appendFields(key, "|", '|', c.extPrefetchToL2, c.extPrefetchesPerCycle,
+                 c.trackReuse, c.longRangePercentile);
     // Appendix-style suffix: only present when sampling is on, so
     // every key from a non-sampled config (including the warmup key
     // embedded in the golden checkpoint blob) is byte-stable.
     if (c.sample.enabled()) {
-        key << "|sample=" << c.sample.intervals << ','
-            << c.sample.windowInsts << ',' << c.sample.detailWarmupInsts
-            << ',' << c.sample.seed;
+        appendFields(key, "|sample=", ',', c.sample.intervals,
+                     c.sample.windowInsts, c.sample.detailWarmupInsts,
+                     c.sample.seed);
     }
     // The scenario text can be kilobytes with newlines; key on its
     // content hash instead of embedding it (operator== still resolves
     // any collision). Absent entirely for scenario-less configs.
     if (!c.scenario.empty()) {
-        std::ostringstream hex;
-        hex << std::hex << hashString(0x9e3779b97f4a7c15ULL, c.scenario);
-        key << "|scenario=" << hex.str();
+        char hex[16];
+        key += "|scenario=";
+        key.append(hex, std::to_chars(hex, hex + sizeof(hex),
+                                      hashString(c.scenario), 16).ptr);
     }
     // Multi-tenant suffix, same appendix style: absent for every
     // single-core config.
     if (c.mt.enabled()) {
-        key << "|mt=";
+        key += "|mt=";
         for (std::size_t i = 0; i < c.mt.tenants.size(); ++i)
-            key << (i ? "+" : "") << c.mt.tenants[i];
-        key << ';' << c.mt.cores << ',' << c.mt.switchQuantum << ','
-            << c.mt.partitionMetadata << ','
-            << c.mt.metadataReadBytesPerCycle << ','
-            << c.mt.dramFillGapCycles;
-        for (const CoreConfig &cc : c.mt.coreOverrides) {
-            key << ";ov=" << cc.ftqEntries << ','
-                << cc.fetchBytesPerCycle << ',' << cc.bpBlocksPerCycle
-                << ',' << cc.btbEntries << ',' << cc.btbWays << ','
-                << cc.rasDepth << ',' << cc.btbMissPenalty << ','
-                << cc.mispredictPenalty << ',' << cc.pipelineDepth
-                << ',' << cc.commitWidth << ',' << cc.robEntries << ','
-                << cc.backendStallPermille << ','
-                << cc.backendStallCycles;
-        }
+            key += (i ? "+" : "") + c.mt.tenants[i];
+        appendFields(key, ";", ',', c.mt.cores, c.mt.switchQuantum,
+                     c.mt.partitionMetadata, c.mt.metadataReadBytesPerCycle,
+                     c.mt.dramFillGapCycles);
+        for (const CoreConfig &cc : c.mt.coreOverrides)
+            core(";ov=", ',', cc);
     }
-    return key.str();
+    return key;
 }
 
 SimConfig

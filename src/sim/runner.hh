@@ -61,8 +61,10 @@ class ExperimentRunner
      *  executor when it has idle workers. */
     static RunPair runPair(const SimConfig &config);
 
-    /** Serializes every field that affects the simulation outcome
-     *  (debugging aid; the cache itself keys on configHash). */
+    /** The config's identity: every field that affects the simulation
+     *  outcome, as text. The only list of config fields — configHash,
+     *  the dedup cache, checkpoint keys and blob file names all derive
+     *  from it; compile-time field counts guard it (runner.cc). */
     static std::string configKey(const SimConfig &config);
 
     /** Number of distinct simulations performed so far. */

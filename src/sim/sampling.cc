@@ -253,15 +253,14 @@ runSampled(const SimConfig &config)
     //
     // With HP_CKPT_DIR set, the post-detailed-warmup state of each
     // interval — the exact state its measurement window starts from —
-    // is also spilled to disk, keyed by the measurement config
-    // (sample pinned off: the instruction stream does not depend on
-    // window placement) and the interval position *relative* to the
-    // warmup boundary. A later sampled run of the same config —
-    // typically the same figure grid in the next bench process — then
-    // pays only the windows themselves: no scout, no warmup
-    // checkpoint, no per-interval detailed warmup. The scout is
-    // materialized only when an interval blob is actually missing.
-    const SimConfig mcfg = measurementConfig(full);
+    // is also spilled to disk, keyed by the warmup class (the
+    // instruction stream does not depend on window placement) and the
+    // interval position *relative* to the warmup boundary. A later
+    // sampled run of the same config — typically the same figure grid
+    // in the next bench process — then pays only the windows
+    // themselves: no scout, no warmup checkpoint, no per-interval
+    // detailed warmup. The scout is materialized only when an
+    // interval blob is actually missing.
     const std::string dir =
         checkpointingEnabled(config) ? checkpointDir() : std::string();
     constexpr std::uintmax_t kMaxIntervalBlobBytes = 4u << 20;
@@ -279,10 +278,9 @@ runSampled(const SimConfig &config)
         // replayed interval covers exactly [start, start + win).
         const std::uint64_t warm =
             std::min(sc.detailWarmupInsts, start);
-        const std::string blob_name =
-            intervalCheckpointFileName(mcfg, start, warm);
         const std::string blob_key =
-            intervalCheckpointKey(mcfg, start, warm);
+            intervalCheckpointKey(config, start, warm);
+        const std::string blob_name = checkpointFileName(blob_key);
 
         if (!sim)
             sim = std::make_unique<Simulator>(config);

@@ -11,6 +11,7 @@
 #define HP_UTIL_HASH_HH
 
 #include <cstdint>
+#include <string_view>
 
 namespace hp
 {
@@ -42,6 +43,19 @@ foldTo(std::uint64_t hash, unsigned bits)
     std::uint64_t folded = hash ^ (hash >> 32);
     folded ^= folded >> 16;
     return folded & ((1ULL << bits) - 1);
+}
+
+/**
+ * Hash of a byte string. Stable across builds and hosts, so it may
+ * name files that outlive the process (checkpoint blobs).
+ */
+constexpr std::uint64_t
+hashString(std::string_view s, std::uint64_t seed = 0x9e3779b97f4a7c15ULL)
+{
+    std::uint64_t h = hashCombine(seed, s.size());
+    for (char c : s)
+        h = hashCombine(h, static_cast<unsigned char>(c));
+    return h;
 }
 
 } // namespace hp

@@ -81,6 +81,12 @@ TEST(RunnerTest, ConfigKeyDistinguishesEveryKnob)
     SimConfig c7 = base;
     c7.workload = "gin";
     EXPECT_NE(ExperimentRunner::configKey(c7), base_key);
+
+    // Doubles must not be rounded to a few digits: a blob keyed for
+    // one fraction would otherwise serve a nearby one.
+    SimConfig c8 = base;
+    c8.mem.l2InstFraction = 0.650000001;
+    EXPECT_NE(ExperimentRunner::configKey(c8), base_key);
 }
 
 TEST(RunnerTest, MeasurementConfigPinsOnlyUnreadFields)

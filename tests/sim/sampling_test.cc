@@ -300,14 +300,14 @@ TEST(SamplingDedupTest, IntervalCheckpointKeysSeparate)
     const SimConfig mcfg = measurementConfig(quickConfig());
     EXPECT_NE(intervalCheckpointKey(mcfg, 1000, 500),
               intervalCheckpointKey(mcfg, 2000, 500));
-    EXPECT_NE(intervalCheckpointFileName(mcfg, 1000, 500),
-              intervalCheckpointFileName(mcfg, 2000, 500));
+    EXPECT_NE(checkpointFileName(intervalCheckpointKey(mcfg, 1000, 500)),
+              checkpointFileName(intervalCheckpointKey(mcfg, 2000, 500)));
     // The detailed-warmup length is baked into the stored state, so
     // it must separate blobs just as the position does.
     EXPECT_NE(intervalCheckpointKey(mcfg, 1000, 500),
               intervalCheckpointKey(mcfg, 1000, 750));
-    EXPECT_NE(intervalCheckpointFileName(mcfg, 1000, 500),
-              intervalCheckpointFileName(mcfg, 1000, 750));
+    EXPECT_NE(checkpointFileName(intervalCheckpointKey(mcfg, 1000, 500)),
+              checkpointFileName(intervalCheckpointKey(mcfg, 1000, 750)));
     // And the encoding must not let (position, warmup) pairs collide
     // by concatenation: 1000w500 vs 100w0500 style ambiguity.
     EXPECT_NE(intervalCheckpointKey(mcfg, 100, 1500),
