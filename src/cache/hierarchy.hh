@@ -292,13 +292,6 @@ class CacheHierarchy : public MetadataMemory
     bool prefetch(Addr block, Origin origin, Cycle now,
                   bool to_l2 = false);
 
-    /** True if a demand for @p block would hit L1-I or merge. */
-    bool
-    wouldHitL1(Addr block) const
-    {
-        return l1i_.contains(block) || mshrs_.count(block) != 0;
-    }
-
     // ---- Timeless (functional) interface for fast-forward mode.
     // Contents, recency, and first-use tracking evolve exactly as on
     // the timing path, but no MSHR is allocated, no latency accrues,
@@ -331,8 +324,6 @@ class CacheHierarchy : public MetadataMemory
      * distances are measured in this unit.
      */
     void noteFetchBlock() { ++fetchBlockSeq_; }
-
-    std::uint64_t fetchBlockSeq() const { return fetchBlockSeq_; }
 
     // MetadataMemory interface (Section 5.3: metadata lives in memory,
     // cacheable in the LLC, competing with regular traffic).

@@ -69,11 +69,6 @@ struct ObsConfig
         return attribution || spans || traceEnabled()
             || timeseriesEnabled();
     }
-    bool
-    anyEnabled() const
-    {
-        return attributionEnabled();
-    }
 };
 
 /**

@@ -173,54 +173,6 @@ Checkpoint::decode(const std::vector<std::uint8_t> &bytes,
                                               std::move(payload));
 }
 
-CheckpointStore::Acquire
-CheckpointStore::acquire(const SimConfig &warmup_config)
-{
-    const std::string key = checkpointKey(warmup_config);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::unique_ptr<Slot>> &bucket = slots_[hashString(key)];
-    for (const std::unique_ptr<Slot> &slot : bucket) {
-        if (slot->key == key && slot->config == warmup_config)
-            return Acquire{slot->future, false};
-    }
-
-    auto slot = std::make_unique<Slot>();
-    slot->key = key;
-    slot->config = warmup_config;
-    slot->future = slot->promise.get_future().share();
-    Acquire acquire{slot->future, true};
-    bucket.push_back(std::move(slot));
-    return acquire;
-}
-
-void
-CheckpointStore::publish(const SimConfig &warmup_config,
-                         CheckpointPtr ckpt)
-{
-    const std::string key = checkpointKey(warmup_config);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::unique_ptr<Slot> &slot : slots_[hashString(key)]) {
-        if (slot->key != key || slot->config != warmup_config ||
-            slot->published)
-            continue;
-        slot->promise.set_value(std::move(ckpt));
-        slot->published = true;
-        return;
-    }
-}
-
-std::size_t
-CheckpointStore::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &bucket : slots_)
-        n += bucket.second.size();
-    return n;
-}
-
 CheckpointStore &
 CheckpointStore::global()
 {
@@ -346,14 +298,14 @@ namespace
  * Fetches @p config's class checkpoint from the store or HP_CKPT_DIR,
  * or produces it — warming a Simulator created in @p sim, which then
  * stands at the warmup boundary so the producer can continue without
- * a restore — and publishes and spills it. With checkpointing
- * disabled the blob is private. Never returns nullptr.
+ * a restore — and spills it. With checkpointing disabled the blob is
+ * private. Never returns nullptr.
  */
 std::shared_ptr<const Checkpoint>
 classCheckpoint(const SimConfig &config, std::unique_ptr<Simulator> &sim)
 {
     const std::string key = checkpointKey(config);
-    auto produce = [&] {
+    auto warm = [&] {
         sim = std::make_unique<Simulator>(config);
         sim->runWarmup();
         return std::make_shared<const Checkpoint>(
@@ -361,43 +313,26 @@ classCheckpoint(const SimConfig &config, std::unique_ptr<Simulator> &sim)
     };
 
     if (!checkpointingEnabled(config))
-        return produce();
+        return warm();
 
-    const SimConfig wcfg = warmupConfig(config);
-    CheckpointStore &store = CheckpointStore::global();
-    CheckpointStore::Acquire acq = store.acquire(wcfg);
-    if (!acq.owner) {
-        if (std::shared_ptr<const Checkpoint> ckpt = acq.future.get())
+    return CheckpointStore::global().get(
+        {key, warmupConfig(config)},
+        [&]() -> std::shared_ptr<const Checkpoint> {
+            const std::string dir = checkpointDir();
+            if (dir.empty())
+                return warm();
+            // Cross-process reuse: a prior run may have spilled this
+            // class.
+            const std::string file = checkpointFileName(key);
+            std::string error;
+            if (auto ckpt = loadCheckpointFile(
+                    (std::filesystem::path(dir) / file).string(), key,
+                    &error))
+                return ckpt;
+            std::shared_ptr<const Checkpoint> ckpt = warm();
+            saveCheckpointFile(dir, file, *ckpt);
             return ckpt;
-        // The producing requester failed; fall back to a private
-        // warmup rather than failing this experiment too.
-        return produce();
-    }
-
-    // Cross-process reuse: a prior run may have spilled this class.
-    const std::string dir = checkpointDir();
-    std::shared_ptr<const Checkpoint> ckpt;
-    if (!dir.empty()) {
-        std::string error;
-        ckpt = loadCheckpointFile(
-            (std::filesystem::path(dir) / checkpointFileName(key)).string(),
-            key, &error);
-    }
-    if (ckpt) {
-        store.publish(wcfg, ckpt);
-        return ckpt;
-    }
-
-    try {
-        ckpt = produce();
-    } catch (...) {
-        store.publish(wcfg, nullptr);
-        throw;
-    }
-    store.publish(wcfg, ckpt);
-    if (!dir.empty())
-        saveCheckpointFile(dir, checkpointFileName(key), *ckpt);
-    return ckpt;
+        });
 }
 
 } // namespace

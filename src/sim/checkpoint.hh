@@ -8,9 +8,8 @@
  * Two configs belong to the same class when warmupConfig() — the
  * config with every warmup-irrelevant field pinned to a fixed value —
  * compares equal and the blob layout matches (checkpointKey()). The
- * CheckpointStore dedups in-flight warmups with the same future-based
- * scheme as the runner's result cache, so concurrent grid points
- * block on the one warmup instead of racing.
+ * CheckpointStore is a OnceMap like the runner's result cache, so
+ * concurrent grid points block on the one warmup instead of racing.
  * With HP_CKPT_DIR set, checkpoints are also spilled to disk and
  * reused across processes (see DESIGN.md §8 for the blob format).
  *
@@ -23,15 +22,14 @@
 #define HP_SIM_CHECKPOINT_HH
 
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/config.hh"
 #include "sim/metrics.hh"
+#include "util/hash.hh"
+#include "util/once_map.hh"
 
 namespace hp
 {
@@ -106,47 +104,38 @@ class Checkpoint
 };
 
 /**
- * Process-wide cache of warmed checkpoints keyed by warmup config,
- * future-based like the runner's result cache: the first requester of
- * a class owns producing the checkpoint, every later requester blocks
- * on the same future.
+ * A warmup class: its checkpointKey() and the warmupConfig() behind
+ * it. Hashed on the key; equality compares both, so a key collision
+ * never shares a checkpoint between different warmups.
+ */
+struct CheckpointClass
+{
+    std::string key;
+    SimConfig config;
+
+    bool operator==(const CheckpointClass &) const = default;
+
+    struct Hash
+    {
+        std::size_t
+        operator()(const CheckpointClass &c) const
+        {
+            return hashString(c.key);
+        }
+    };
+};
+
+/**
+ * Process-wide cache of warmed checkpoints, one per warmup class: the
+ * first requester of a class loads or produces its checkpoint, every
+ * later requester shares it.
  */
 class CheckpointStore
+    : public OnceMap<CheckpointClass, std::shared_ptr<const Checkpoint>,
+                     CheckpointClass::Hash>
 {
   public:
-    using CheckpointPtr = std::shared_ptr<const Checkpoint>;
-
-    struct Acquire
-    {
-        std::shared_future<CheckpointPtr> future;
-        /** True if this caller must produce and publish() the blob. */
-        bool owner = false;
-    };
-
-    /** Finds or creates the slot for @p warmup_config's class. */
-    Acquire acquire(const SimConfig &warmup_config);
-
-    /** Fulfills the class's future (owner only; nullptr = failed). */
-    void publish(const SimConfig &warmup_config, CheckpointPtr ckpt);
-
-    /** Number of warmup classes seen (diagnostics/tests). */
-    std::size_t size() const;
-
     static CheckpointStore &global();
-
-  private:
-    struct Slot
-    {
-        std::string key;
-        SimConfig config;
-        std::promise<CheckpointPtr> promise;
-        std::shared_future<CheckpointPtr> future;
-        bool published = false;
-    };
-
-    mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<Slot>>>
-        slots_;
 };
 
 /** HP_CKPT_DIR, or empty when disk spill is disabled. */
@@ -197,8 +186,8 @@ std::string intervalCheckpointKey(const SimConfig &config,
 /**
  * Runs @p config to completion, reusing (or creating) the shared
  * warmup checkpoint of its class. Results are bit-identical to
- * Simulator(config).run(); any checkpoint problem falls back to a
- * cold run rather than failing the experiment.
+ * Simulator(config).run(); a checkpoint that fails to restore falls
+ * back to a cold run rather than failing the experiment.
  */
 SimMetrics runCheckpointed(const SimConfig &config);
 

@@ -4,10 +4,7 @@
 #include <atomic>
 #include <charconv>
 #include <cstddef>
-#include <mutex>
 #include <type_traits>
-#include <unordered_map>
-#include <vector>
 
 #include "sim/checkpoint.hh"
 #include "sim/executor.hh"
@@ -15,6 +12,7 @@
 #include "sim/sampling.hh"
 #include "sim/run_report.hh"
 #include "util/hash.hh"
+#include "util/once_map.hh"
 #include "workload/scenario.hh"
 
 namespace hp
@@ -23,18 +21,16 @@ namespace hp
 namespace
 {
 
-/**
- * One cache slot: the full config for collision resolution plus the
- * shared future every requester blocks on.
- */
-struct CacheSlot
+/** Buckets the result cache on configHash; the map resolves
+ *  collisions with SimConfig::operator==. */
+struct ConfigHasher
 {
-    SimConfig config;
-    std::shared_future<SimMetrics> future;
+    std::size_t operator()(const SimConfig &c) const { return configHash(c); }
 };
 
-std::mutex g_mutex;
-std::unordered_map<std::uint64_t, std::vector<CacheSlot>> g_cache;
+/** Simulation results keyed by measurementConfig(), so grid points
+ *  differing only in fields the simulation never reads share one run. */
+OnceMap<SimConfig, SimMetrics, ConfigHasher> g_cache;
 std::atomic<std::size_t> g_runs{0};
 
 /**
@@ -240,6 +236,29 @@ measurementConfig(const SimConfig &config)
     return m;
 }
 
+namespace
+{
+
+/**
+ * The producer of @p config's cache entry. Its report position is
+ * taken now, at submission, so the report lists runs in submission
+ * order whatever order the workers finish them in; a deduplicated
+ * submission leaves its position unused. The full original config
+ * reaches the simulation and the report log.
+ */
+auto
+simulation(const SimConfig &config)
+{
+    return [config, position = RunReportLog::reserve()] {
+        SimMetrics metrics = runMaybeSampled(config);
+        g_runs.fetch_add(1, std::memory_order_relaxed);
+        RunReportLog::record(config, metrics, position);
+        return metrics;
+    };
+}
+
+} // namespace
+
 namespace detail
 {
 
@@ -247,34 +266,8 @@ std::shared_future<SimMetrics>
 acquireSimulation(const SimConfig &config,
                   std::packaged_task<SimMetrics()> *task)
 {
-    // Dedup on the normalized config so grid points differing only in
-    // fields this simulation never reads share one run. The full
-    // original config still reaches the simulation and the report log.
-    const SimConfig mcfg = measurementConfig(config);
-    const std::uint64_t hash = configHash(mcfg);
-
-    std::lock_guard<std::mutex> lock(g_mutex);
-    std::vector<CacheSlot> &bucket = g_cache[hash];
-    for (const CacheSlot &slot : bucket) {
-        if (slot.config == mcfg)
-            return slot.future;
-    }
-
-    // First request for this class: this caller runs the simulation.
-    // Its report position is taken now, under the cache lock, so the
-    // report lists runs in submission order whatever order the
-    // workers finish them in.
-    const std::uint64_t position = RunReportLog::reserve();
-    std::packaged_task<SimMetrics()> sim([config, position] {
-        SimMetrics metrics = runMaybeSampled(config);
-        g_runs.fetch_add(1, std::memory_order_relaxed);
-        RunReportLog::record(config, metrics, position);
-        return metrics;
-    });
-    std::shared_future<SimMetrics> future = sim.get_future().share();
-    bucket.push_back(CacheSlot{mcfg, future});
-    *task = std::move(sim);
-    return future;
+    return g_cache.acquire(measurementConfig(config), simulation(config),
+                           task);
 }
 
 } // namespace detail
@@ -282,12 +275,7 @@ acquireSimulation(const SimConfig &config,
 SimMetrics
 ExperimentRunner::run(const SimConfig &config)
 {
-    std::packaged_task<SimMetrics()> task;
-    std::shared_future<SimMetrics> future =
-        detail::acquireSimulation(config, &task);
-    if (task.valid())
-        task();
-    return future.get();
+    return g_cache.get(measurementConfig(config), simulation(config));
 }
 
 SimConfig

@@ -3,9 +3,9 @@
  * Experiment runner: memoized simulation runs plus the paired
  * run-vs-FDIP-baseline computation every figure needs. Within one
  * process, identical configurations are simulated once — even when
- * requested concurrently from many threads: the cache stores futures,
- * so every requester of a config blocks on the one in-flight
- * simulation instead of racing or double-running it.
+ * requested concurrently from many threads: the cache is a OnceMap
+ * (util/once_map.hh), so every requester of a config blocks on the
+ * one in-flight simulation instead of racing or double-running it.
  */
 
 #ifndef HP_SIM_RUNNER_HH
@@ -75,11 +75,11 @@ namespace detail
 {
 
 /**
- * Finds or creates the cache slot for @p config and returns its
- * future. If this call created the slot, @p task is set to the
- * simulation task and the caller is responsible for executing it
- * (inline or on a worker thread); every other caller gets the same
- * future and an invalid task.
+ * OnceMap::acquire on the result cache: finds or creates the entry
+ * for @p config and returns its future. If this call created the
+ * entry, @p task is set to the simulation task and the caller is
+ * responsible for executing it (inline or on a worker thread); every
+ * other caller gets the same future and an invalid task.
  */
 std::shared_future<SimMetrics>
 acquireSimulation(const SimConfig &config,

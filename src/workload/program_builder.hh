@@ -56,7 +56,8 @@ class ProgramBuilder
     /** Builds a fresh image for @p profile. */
     static std::shared_ptr<const BuiltApp> build(const AppProfile &profile);
 
-    /** Process-wide cache keyed by binary name. */
+    /** Process-wide cache keyed by binary name (a OnceMap: one build
+     *  per binary, concurrent requesters wait for it). */
     static std::shared_ptr<const BuiltApp> cached(const AppProfile &profile);
 };
 

@@ -158,10 +158,11 @@ bool loadScenarioFile(const std::string &path, std::string *text,
                       std::string *error = nullptr);
 
 /**
- * Process-wide parse cache keyed by the spec text; fatals on a spec
- * that does not parse (callers validate user input first). The
- * Simulator resolves SimConfig::scenario through this, so a grid of
- * runs over one scenario parses it once.
+ * Process-wide parse cache keyed by the spec text (a OnceMap: no lock
+ * is held while parsing, so different texts parse in parallel); fatals
+ * on a spec that does not parse (callers validate user input first).
+ * The Simulator resolves SimConfig::scenario through this, so a grid
+ * of runs over one scenario parses it once.
  */
 std::shared_ptr<const Scenario> cachedScenario(const std::string &text);
 
