@@ -88,9 +88,10 @@ main(int argc, char **argv)
                 missCauseName(static_cast<MissCause>(c)));
             total += causes[c];
         }
-        fatalIf(total != stats.value("l1i.demand_misses"),
-                grid[i].workload +
-                    ": attribution does not partition the misses");
+        if (total != stats.value("l1i.demand_misses")) {
+            fatal(grid[i].workload +
+                  ": attribution does not partition the misses");
+        }
 
         auto share = [&](MissCause cause) {
             return fmtShare(causes[unsigned(cause)], total);

@@ -88,45 +88,44 @@ Program::validate() const
         std::uint32_t cursor = 0;
         for (std::size_t i = 0; i < fn.body.size(); ++i) {
             const BodyOp &op = fn.body[i];
-            panicIf(op.offset != cursor,
-                    "body op offset mismatch in " + fn.name);
+            if (op.offset != cursor)
+                panic("body op offset mismatch in " + fn.name);
             switch (op.kind) {
               case OpKind::Run:
-                panicIf(op.length == 0, "empty Run in " + fn.name);
+                if (op.length == 0)
+                    panic("empty Run in " + fn.name);
                 cursor += op.length;
                 break;
               case OpKind::Branch:
-                panicIf(op.offset + 1 + op.span > fn.numInsts(),
-                        "Branch skips past end of " + fn.name);
+                if (op.offset + 1 + op.span > fn.numInsts())
+                    panic("Branch skips past end of " + fn.name);
                 cursor += 1;
                 break;
               case OpKind::Loop:
-                panicIf(op.span > op.offset,
-                        "Loop jumps before entry of " + fn.name);
+                if (op.span > op.offset)
+                    panic("Loop jumps before entry of " + fn.name);
                 cursor += 1;
                 break;
               case OpKind::CallSite:
-                panicIf(op.targetIdx >= fn.targets.size(),
-                        "CallSite target index out of range in " + fn.name);
+                if (op.targetIdx >= fn.targets.size())
+                    panic("CallSite target index out of range in " + fn.name);
                 for (FuncId callee : fn.targets[op.targetIdx].candidates) {
-                    panicIf(callee >= funcs_.size(),
-                            "CallSite callee out of range in " + fn.name);
+                    if (callee >= funcs_.size())
+                        panic("CallSite callee out of range in " + fn.name);
                 }
-                panicIf(fn.targets[op.targetIdx].candidates.empty(),
-                        "CallSite with no candidates in " + fn.name);
+                if (fn.targets[op.targetIdx].candidates.empty())
+                    panic("CallSite with no candidates in " + fn.name);
                 cursor += 1;
                 break;
               case OpKind::Ret:
-                panicIf(i + 1 != fn.body.size(),
-                        "Ret not last op in " + fn.name);
+                if (i + 1 != fn.body.size())
+                    panic("Ret not last op in " + fn.name);
                 cursor += 1;
                 break;
             }
         }
-        if (!fn.body.empty()) {
-            panicIf(fn.body.back().kind != OpKind::Ret,
-                    "function " + fn.name + " does not end in Ret");
-        }
+        if (!fn.body.empty() && fn.body.back().kind != OpKind::Ret)
+            panic("function " + fn.name + " does not end in Ret");
     }
 }
 

@@ -11,10 +11,11 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
                              unsigned ways)
     : name_(std::move(name)), sizeBytes_(size_bytes), ways_(ways)
 {
-    fatalIf(ways == 0, name_ + ": associativity must be positive");
+    if (ways == 0)
+        fatal(name_ + ": associativity must be positive");
     std::uint64_t blocks = size_bytes / kBlockBytes;
-    fatalIf(blocks < ways || blocks % ways != 0,
-            name_ + ": size/associativity mismatch");
+    if (blocks < ways || blocks % ways != 0)
+        fatal(name_ + ": size/associativity mismatch");
     numSets_ = static_cast<unsigned>(blocks / ways);
     // Allow non-power-of-two set counts (needed for the fractional
     // instruction share of unified levels); indexing uses modulo of a

@@ -23,8 +23,8 @@ envU64(const char *name, std::uint64_t fallback)
         return fallback;
     char *end = nullptr;
     const unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatalIf(end == v || *end != '\0',
-            std::string(name) + " must be a positive integer, got: " + v);
+    if (end == v || *end != '\0')
+        fatal(std::string(name) + " must be a positive integer, got: " + v);
     return parsed;
 }
 
@@ -147,15 +147,15 @@ writeTimeseriesCsv(const std::string &path,
     }
     const std::string doc = out.str();
     std::FILE *f = std::fopen(path.c_str(), "w");
-    fatalIf(f == nullptr,
-            "cannot open time-series CSV for writing: " + path);
+    if (f == nullptr)
+        fatal("cannot open time-series CSV for writing: " + path);
     const std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
     if (n != doc.size()) {
         std::fclose(f);
         fatal("short write to time-series CSV: " + path);
     }
-    fatalIf(std::fclose(f) != 0,
-            "error closing time-series CSV: " + path);
+    if (std::fclose(f) != 0)
+        fatal("error closing time-series CSV: " + path);
 }
 
 } // namespace hp::obs

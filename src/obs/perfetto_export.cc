@@ -300,13 +300,15 @@ writePerfettoJson(const std::string &path,
 {
     const std::string doc = perfettoJson(runs);
     std::FILE *f = std::fopen(path.c_str(), "w");
-    fatalIf(f == nullptr, "cannot open trace JSON for writing: " + path);
+    if (f == nullptr)
+        fatal("cannot open trace JSON for writing: " + path);
     const std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
     if (n != doc.size()) {
         std::fclose(f);
         fatal("short write to trace JSON: " + path);
     }
-    fatalIf(std::fclose(f) != 0, "error closing trace JSON: " + path);
+    if (std::fclose(f) != 0)
+        fatal("error closing trace JSON: " + path);
 }
 
 } // namespace hp::obs

@@ -70,9 +70,10 @@ knownRuntimeEnv(const std::string &name)
 const char *
 runtimeEnv(const char *name)
 {
-    panicIf(!knownRuntimeEnv(name),
-            std::string("runtimeEnv: undeclared option ") + name +
-                " (add it to runtimeOptionTable)");
+    if (!knownRuntimeEnv(name)) {
+        panic(std::string("runtimeEnv: undeclared option ") + name +
+              " (add it to runtimeOptionTable)");
+    }
     return std::getenv(name);
 }
 

@@ -46,12 +46,14 @@ StatsSnapshot::delta(const StatsSnapshot &later,
     for (std::size_t i = 0; i < later.entries_.size(); ++i) {
         const Entry &end = later.entries_[i];
         const Entry &begin = earlier.entries_[i];
-        panicIf(end.first != begin.first,
-                "StatsSnapshot::delta: path mismatch at '" + end.first +
-                    "' vs '" + begin.first + "'");
-        panicIf(end.second < begin.second,
-                "StatsSnapshot::delta: counter '" + end.first +
-                    "' went backwards");
+        if (end.first != begin.first) {
+            panic("StatsSnapshot::delta: path mismatch at '" + end.first +
+                  "' vs '" + begin.first + "'");
+        }
+        if (end.second < begin.second) {
+            panic("StatsSnapshot::delta: counter '" + end.first +
+                  "' went backwards");
+        }
         out.add(end.first, end.second - begin.second);
     }
     return out;
@@ -89,9 +91,10 @@ void
 expect(const std::string &s, std::size_t &pos, char c)
 {
     skipSpace(s, pos);
-    fatalIf(pos >= s.size() || s[pos] != c,
-            std::string("StatsSnapshot::fromJson: expected '") + c +
-                "' at offset " + std::to_string(pos));
+    if (pos >= s.size() || s[pos] != c) {
+        fatal(std::string("StatsSnapshot::fromJson: expected '") + c +
+              "' at offset " + std::to_string(pos));
+    }
     ++pos;
 }
 
@@ -110,10 +113,11 @@ std::uint64_t
 parseUint(const std::string &s, std::size_t &pos)
 {
     skipSpace(s, pos);
-    fatalIf(pos >= s.size() ||
-                !std::isdigit(static_cast<unsigned char>(s[pos])),
-            "StatsSnapshot::fromJson: expected integer at offset " +
-                std::to_string(pos));
+    if (pos >= s.size() ||
+        !std::isdigit(static_cast<unsigned char>(s[pos]))) {
+        fatal("StatsSnapshot::fromJson: expected integer at offset " +
+              std::to_string(pos));
+    }
     std::uint64_t value = 0;
     while (pos < s.size() &&
            std::isdigit(static_cast<unsigned char>(s[pos]))) {
@@ -154,9 +158,10 @@ StatsSnapshot::fromJson(const std::string &text)
 void
 StatsRegistry::add(std::string path, Reader reader)
 {
-    panicIf(!reader, "StatsRegistry: null reader for '" + path + "'");
-    panicIf(has(path),
-            "StatsRegistry: duplicate stat path '" + path + "'");
+    if (!reader)
+        panic("StatsRegistry: null reader for '" + path + "'");
+    if (has(path))
+        panic("StatsRegistry: duplicate stat path '" + path + "'");
     stats_.emplace_back(std::move(path), std::move(reader));
 }
 

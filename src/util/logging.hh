@@ -11,6 +11,15 @@
  * or 0-3; default warn). Call sites that can fire once per simulated
  * event wrap themselves in HP_WARN_LIMIT / HP_WARN_ONCE so a
  * misbehaving run emits a handful of lines, not millions.
+ *
+ * A check's message is a literal: panicIf()/fatalIf() take a
+ * const char *, so a check that passes builds no string. A message
+ * composed from run-time values goes inside an if body instead,
+ *
+ *     if (op.length == 0)
+ *         panic("empty Run in " + fn.name);
+ *
+ * so only the failing path pays for the concatenation.
  */
 
 #ifndef HP_UTIL_LOGGING_HH
@@ -59,10 +68,11 @@ void logDebug(const std::string &msg);
 
 /**
  * Checks an invariant that must hold regardless of user input.
- * Unlike assert(), stays active in release builds.
+ * Unlike assert(), stays active in release builds. @p msg is a
+ * literal; see the file comment for composed messages.
  */
 inline void
-panicIf(bool condition, const std::string &msg)
+panicIf(bool condition, const char *msg)
 {
     if (condition)
         panic(msg);
@@ -70,7 +80,7 @@ panicIf(bool condition, const std::string &msg)
 
 /** Checks a user-facing precondition (configuration validity etc.). */
 inline void
-fatalIf(bool condition, const std::string &msg)
+fatalIf(bool condition, const char *msg)
 {
     if (condition)
         fatal(msg);

@@ -247,7 +247,8 @@ const AppProfile &
 appProfile(const std::string &name)
 {
     auto it = registry().find(name);
-    fatalIf(it == registry().end(), "unknown workload: " + name);
+    if (it == registry().end())
+        fatal("unknown workload: " + name);
     return it->second;
 }
 
@@ -282,7 +283,8 @@ workloadForBinary(const std::string &binary)
         {"mysql", "mysql-sysbench"}, {"tidb", "tidb-tpcc"},
     };
     auto it = map.find(binary);
-    fatalIf(it == map.end(), "unknown binary: " + binary);
+    if (it == map.end())
+        fatal("unknown binary: " + binary);
     return it->second;
 }
 

@@ -438,8 +438,8 @@ class BuilderImpl
     void
     buildStages(BuiltApp &app)
     {
-        fatalIf(profile_.routinesPerStage.size() != profile_.numStages,
-                profile_.name + ": routinesPerStage size mismatch");
+        if (profile_.routinesPerStage.size() != profile_.numStages)
+            fatal(profile_.name + ": routinesPerStage size mismatch");
         app.stageRoutines.resize(profile_.numStages);
         for (unsigned s = 0; s < profile_.numStages; ++s) {
             std::uint16_t module =

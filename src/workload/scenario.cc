@@ -562,8 +562,8 @@ cachedScenario(const std::string &text)
     return cache.get(text, [&text] {
         auto scen = std::make_shared<Scenario>();
         std::string err;
-        fatalIf(!parseScenario(text, scen.get(), &err),
-                "bad scenario spec: " + err);
+        if (!parseScenario(text, scen.get(), &err))
+            fatal("bad scenario spec: " + err);
         return std::shared_ptr<const Scenario>(std::move(scen));
     });
 }

@@ -8,6 +8,16 @@ namespace hp
 namespace
 {
 
+/** A body op of @p kind at slot @p offset, every other field default. */
+BodyOp
+makeOp(OpKind kind, std::uint32_t offset)
+{
+    BodyOp op;
+    op.kind = kind;
+    op.offset = offset;
+    return op;
+}
+
 TEST(ProgramTest, AddFunctionAssignsSequentialIds)
 {
     Program program;
@@ -147,6 +157,75 @@ TEST(ProgramDeathTest, ValidateCatchesBadCallee)
     ret.offset = 1;
     fn.body.push_back(ret);
     EXPECT_DEATH(program.validate(), "callee out of range");
+}
+
+// Each message names the offending function, so a bad body can be
+// found in a binary of tens of thousands of functions.
+
+TEST(ProgramDeathTest, ValidateCatchesEmptyRun)
+{
+    Program program;
+    Function &fn = program.func(program.addFunction("hollow"));
+    fn.body.push_back(makeOp(OpKind::Run, 0)); // length 0
+    fn.body.push_back(makeOp(OpKind::Ret, 0));
+    EXPECT_DEATH(program.validate(), "empty Run in hollow");
+}
+
+TEST(ProgramDeathTest, ValidateCatchesBranchPastEnd)
+{
+    Program program;
+    Function &fn = program.func(program.addFunction("overshoot"));
+    BodyOp branch = makeOp(OpKind::Branch, 0);
+    branch.span = 5; // the body has only 2 slots
+    fn.body.push_back(branch);
+    fn.body.push_back(makeOp(OpKind::Ret, 1));
+    EXPECT_DEATH(program.validate(), "Branch skips past end of overshoot");
+}
+
+TEST(ProgramDeathTest, ValidateCatchesLoopBeforeEntry)
+{
+    Program program;
+    Function &fn = program.func(program.addFunction("backjump"));
+    BodyOp run = makeOp(OpKind::Run, 0);
+    run.length = 2;
+    fn.body.push_back(run);
+    BodyOp loop = makeOp(OpKind::Loop, 2);
+    loop.span = 3; // jumps to slot -1
+    fn.body.push_back(loop);
+    fn.body.push_back(makeOp(OpKind::Ret, 3));
+    EXPECT_DEATH(program.validate(), "Loop jumps before entry of backjump");
+}
+
+TEST(ProgramDeathTest, ValidateCatchesTargetIndexOutOfRange)
+{
+    Program program;
+    Function &fn = program.func(program.addFunction("notarget"));
+    fn.body.push_back(makeOp(OpKind::CallSite, 0)); // no targets at all
+    fn.body.push_back(makeOp(OpKind::Ret, 1));
+    EXPECT_DEATH(program.validate(),
+                 "CallSite target index out of range in notarget");
+}
+
+TEST(ProgramDeathTest, ValidateCatchesCallSiteWithoutCandidates)
+{
+    Program program;
+    Function &fn = program.func(program.addFunction("nocallee"));
+    fn.targets.push_back(CallTarget{});
+    fn.body.push_back(makeOp(OpKind::CallSite, 0));
+    fn.body.push_back(makeOp(OpKind::Ret, 1));
+    EXPECT_DEATH(program.validate(),
+                 "CallSite with no candidates in nocallee");
+}
+
+TEST(ProgramDeathTest, ValidateCatchesEarlyRet)
+{
+    Program program;
+    Function &fn = program.func(program.addFunction("early"));
+    fn.body.push_back(makeOp(OpKind::Ret, 0));
+    BodyOp run = makeOp(OpKind::Run, 1);
+    run.length = 2;
+    fn.body.push_back(run);
+    EXPECT_DEATH(program.validate(), "Ret not last op in early");
 }
 
 } // namespace

@@ -152,5 +152,23 @@ TEST(ZipfSamplerTest, SampleAlwaysInRange)
         EXPECT_LT(sampler.sample(rng), 7u);
 }
 
+TEST(RngDeathTest, NextUintRejectsZeroBound)
+{
+    Rng rng(1);
+    EXPECT_DEATH((void)rng.nextUint(0), "Rng::nextUint with zero bound");
+}
+
+TEST(RngDeathTest, NextRangeRejectsInvertedRange)
+{
+    Rng rng(1);
+    EXPECT_DEATH((void)rng.nextRange(5, 4), "Rng::nextRange with lo > hi");
+}
+
+TEST(RngDeathTest, NextSkewedRejectsInvertedRange)
+{
+    Rng rng(1);
+    EXPECT_DEATH((void)rng.nextSkewed(5, 4), "Rng::nextSkewed with lo > hi");
+}
+
 } // namespace
 } // namespace hp
