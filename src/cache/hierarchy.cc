@@ -40,7 +40,9 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
       l2_(lvl_->l2),
       llc_(lvl_->llc),
       itlb_(params.itlbEntries, params.itlbWalkLatency)
-{}
+{
+    mshrs_.reserve(params.l1iMshrs);
+}
 
 Cycle
 CacheHierarchy::dramQueueDelay(Cycle now)
@@ -85,17 +87,34 @@ CacheHierarchy::recordExtOutcome(Addr block, bool useful)
 }
 
 void
-CacheHierarchy::tick(Cycle now)
+CacheHierarchy::completeFillsTo(Cycle now)
 {
-    while (!completions_.empty() && completions_.begin()->first <= now) {
-        Addr block = completions_.begin()->second;
-        completions_.erase(completions_.begin());
-        auto it = mshrs_.find(block);
-        if (it == mshrs_.end())
-            continue;
-        completeFill(it->second);
-        mshrs_.erase(it);
+    while (!mshrs_.empty() && mshrs_.front().readyAt <= now) {
+        const Mshr mshr = mshrs_.front();
+        mshrs_.erase(mshrs_.begin());
+        completeFill(mshr);
     }
+}
+
+CacheHierarchy::Mshr *
+CacheHierarchy::findMshr(Addr block)
+{
+    for (Mshr &mshr : mshrs_) {
+        if (mshr.block == block)
+            return &mshr;
+    }
+    return nullptr;
+}
+
+void
+CacheHierarchy::allocMshr(const Mshr &mshr)
+{
+    // After every fill with the same readyAt: equal-cycle fills
+    // complete in allocation order.
+    auto pos = std::upper_bound(
+        mshrs_.begin(), mshrs_.end(), mshr.readyAt,
+        [](Cycle ready, const Mshr &m) { return ready < m.readyAt; });
+    mshrs_.insert(pos, mshr);
 }
 
 void
@@ -216,8 +235,8 @@ CacheHierarchy::demandAccess(Addr block, Cycle now)
 
     ++stats_.demandL1Misses;
 
-    if (auto it = mshrs_.find(block); it != mshrs_.end()) {
-        Mshr &mshr = it->second;
+    if (Mshr *merged = findMshr(block)) {
+        Mshr &mshr = *merged;
         if (mshr.origin != Origin::Demand && !mshr.demandMerged) {
             ++statsFor(mshr.origin).lateMerges;
             HP_EMIT(obs_, emit(EventKind::PrefetchLate, now, block, 0,
@@ -290,8 +309,7 @@ CacheHierarchy::demandAccess(Addr block, Cycle now)
     mshr.fillLlc = probe.fillLlc;
     mshr.fromMem = probe.fromMem;
     mshr.demandMerged = true;
-    mshrs_.emplace(block, mshr);
-    completions_.emplace(mshr.readyAt, block);
+    allocMshr(mshr);
 #ifndef HP_NO_OBS
     if (obs_) {
         EventKind kind = probe.level == ServiceLevel::L2
@@ -319,7 +337,7 @@ CacheHierarchy::prefetch(Addr block, Origin origin, Cycle now, bool to_l2)
                            0, 0, org));
         return false;
     }
-    if (mshrs_.count(block)) {
+    if (findMshr(block)) {
         ++ps.redundant;
         HP_EMIT(obs_, emit(EventKind::PrefetchRedundant, now, block,
                            0, 1, org));
@@ -352,8 +370,7 @@ CacheHierarchy::prefetch(Addr block, Origin origin, Cycle now, bool to_l2)
     mshr.fillLlc = probe.fillLlc;
     mshr.fromMem = probe.fromMem;
     mshr.toL2Only = to_l2;
-    mshrs_.emplace(block, mshr);
-    completions_.emplace(mshr.readyAt, block);
+    allocMshr(mshr);
     HP_EMIT(obs_, emit(EventKind::PrefetchIssued, now, block, 0,
                        probe.latency, org));
     if (attr_.enabled() && !to_l2)
@@ -460,25 +477,9 @@ CacheHierarchy::functionalPrefetch(Addr block, Origin origin,
 void
 CacheHierarchy::drainInFlight()
 {
-    // completions_ is ordered by readyAt, so fills (and the evictions
+    // The MSHR file is in fill order, so fills (and the evictions
     // they cause) land in the order the timing path would retire them.
-    while (!completions_.empty()) {
-        Addr block = completions_.begin()->second;
-        completions_.erase(completions_.begin());
-        auto it = mshrs_.find(block);
-        if (it == mshrs_.end())
-            continue;
-        completeFill(it->second);
-        mshrs_.erase(it);
-    }
-    mshrs_.clear();
-}
-
-unsigned
-CacheHierarchy::freeMshrs() const
-{
-    return params_.l1iMshrs > mshrs_.size()
-        ? params_.l1iMshrs - static_cast<unsigned>(mshrs_.size()) : 0;
+    completeFillsTo(kNever);
 }
 
 Cycle
@@ -578,14 +579,82 @@ CacheHierarchy::resetStats()
 
 template <class Ar>
 void
+CacheHierarchy::serializeMshrs(Ar &ar)
+{
+    // The canonical layout existing blobs (the golden one included)
+    // hold: the MSHRs sorted by block, each after its block as a key,
+    // then every (readyAt, block) in fill order.
+    if constexpr (Ar::loading) {
+        std::uint64_t n = 0;
+        ar.value(n);
+        // A file larger than this geometry's comes from another one.
+        if (n > params_.l1iMshrs) {
+            ar.markFailed();
+            return;
+        }
+        std::vector<Mshr> by_block(n);
+        for (Mshr &mshr : by_block) {
+            Addr key = 0;
+            ar.value(key);
+            mshr.serializeState(ar);
+            if (key != mshr.block)
+                ar.markFailed();
+        }
+        std::uint64_t fills = n;
+        ar.value(fills);
+        if (fills != n)
+            ar.markFailed();
+        mshrs_.clear();
+        for (std::uint64_t i = 0; i < n && !ar.failed(); ++i) {
+            Cycle ready = 0;
+            Addr block = 0;
+            ar.value(ready);
+            ar.value(block);
+            // Each MSHR fills exactly once, at its own readyAt, and
+            // the queue is in fill order.
+            auto it = std::find_if(
+                by_block.begin(), by_block.end(),
+                [block](const Mshr &m) { return m.block == block; });
+            if (it == by_block.end() || it->readyAt != ready ||
+                findMshr(block) ||
+                (!mshrs_.empty() && ready < mshrs_.back().readyAt)) {
+                ar.markFailed();
+                break;
+            }
+            mshrs_.push_back(*it);
+        }
+        if (ar.failed())
+            mshrs_.clear();
+    } else {
+        std::vector<Mshr> by_block(mshrs_);
+        std::sort(by_block.begin(), by_block.end(),
+                  [](const Mshr &a, const Mshr &b) {
+                      return a.block < b.block;
+                  });
+        std::uint64_t n = by_block.size();
+        ar.value(n);
+        for (Mshr &mshr : by_block) {
+            Addr key = mshr.block;
+            ar.value(key);
+            mshr.serializeState(ar);
+        }
+        ar.value(n);
+        for (Mshr &mshr : mshrs_) {
+            ar.value(mshr.readyAt);
+            ar.value(mshr.block);
+        }
+    }
+}
+
+template <class Ar>
+void
 CacheHierarchy::serializeState(Ar &ar)
 {
     l1i_.serializeState(ar);
     l2_.serializeState(ar);
     llc_.serializeState(ar);
     itlb_.serializeState(ar);
-    io(ar, mshrs_);
-    io(ar, completions_);
+    serializeMshrs(ar);
     io(ar, extIssueSeq_);
     io(ar, fetchBlockSeq_);
     io(ar, metadataReads_);

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -273,7 +272,20 @@ class CacheHierarchy : public MetadataMemory
                                 nullptr);
 
     /** Processes fills that complete at or before @p now. */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        if (now >= nextFillAt())
+            completeFillsTo(now);
+    }
+
+    /** The earliest outstanding fill's ready cycle (kNever if none):
+     *  tick() changes nothing before it. */
+    Cycle
+    nextFillAt() const
+    {
+        return mshrs_.empty() ? kNever : mshrs_.front().readyAt;
+    }
 
     /**
      * Demand access from fetch for the block containing @p addr.
@@ -316,7 +328,12 @@ class CacheHierarchy : public MetadataMemory
     void drainInFlight();
 
     /** Free MSHR slots (fetch uses this to pace itself). */
-    unsigned freeMshrs() const;
+    unsigned
+    freeMshrs() const
+    {
+        return params_.l1iMshrs > mshrs_.size()
+            ? params_.l1iMshrs - static_cast<unsigned>(mshrs_.size()) : 0;
+    }
 
     /**
      * Advances the fetched-block sequence counter; called by the
@@ -395,6 +412,18 @@ class CacheHierarchy : public MetadataMemory
     PrefetchStats &statsFor(Origin origin);
     void completeFill(const Mshr &mshr);
 
+    /** tick()'s slow path: completes every fill due by @p now. */
+    void completeFillsTo(Cycle now);
+
+    /** The outstanding fill for @p block, or nullptr. */
+    Mshr *findMshr(Addr block);
+
+    /** Adds @p mshr to the MSHR file in fill order. */
+    void allocMshr(const Mshr &mshr);
+
+    /** The MSHR file in its canonical checkpoint layout. */
+    template <class Ar> void serializeMshrs(Ar &ar);
+
     /** Looks up L2/LLC/mem and returns (latency, fill flags, fromMem). */
     struct ProbeResult
     {
@@ -426,8 +455,13 @@ class CacheHierarchy : public MetadataMemory
     SetAssocCache &llc_;
     Tlb itlb_;
 
-    std::unordered_map<Addr, Mshr> mshrs_;
-    std::multimap<Cycle, Addr> completions_;
+    /**
+     * The MSHR file: at most l1iMshrs outstanding fills, kept in fill
+     * order — by readyAt, equal readyAt in allocation order — so the
+     * front is the next fill and tick() pops from it. Lookups by block
+     * scan it; the file is a handful of entries and never allocates.
+     */
+    std::vector<Mshr> mshrs_;
 
     /** Issue sequence (fetch-block units) of in-cache Ext prefetches. */
     std::unordered_map<Addr, std::uint64_t> extIssueSeq_;

@@ -413,49 +413,60 @@ HierarchicalPrefetcher::beginReplay(SegIdx head, Cycle now)
     }
 }
 
+Cycle
+HierarchicalPrefetcher::issueAt(const ReplaySegment &rs) const
+{
+    // Segment gate: the Bundle has retired the previous segment's
+    // num-insts checkpoint.
+    if (recordInsts_ < rs.gateInsts)
+        return kNever;
+    if (rs.cursor < rs.regions.size()) {
+        if (config_.subSegmentPacing && !rs.immediate) {
+            // Stream regions across the previous segment's execution
+            // window.
+            std::uint64_t span = rs.paceEnd - rs.paceStart;
+            std::uint64_t sub_gate = rs.paceStart +
+                span * rs.cursor / rs.regions.size();
+            if (recordInsts_ < sub_gate)
+                return kNever;
+        }
+        // Leave queue room for a region's worth of blocks.
+        if (queueDepth() + kRegionBlocks > maxQueue())
+            return kNever;
+    }
+    // The segment's metadata must have arrived.
+    return rs.readyAt;
+}
+
 void
 HierarchicalPrefetcher::tick(Cycle now)
 {
     // Issue replay regions whose metadata has arrived, whose segment
     // gate has opened, and whose sub-segment pacing point has been
-    // reached; leave queue room for a region's worth of blocks.
+    // reached.
     while (replayPos_ < replay_.size()) {
         ReplaySegment &rs = replay_[replayPos_];
-        if (now < rs.readyAt)
+        if (now < issueAt(rs))
             return;
-        if (recordInsts_ < rs.gateInsts)
-            return;
-
-        while (rs.cursor < rs.regions.size()) {
-            if (config_.subSegmentPacing && !rs.immediate &&
-                !rs.regions.empty()) {
-                // Stream regions across the previous segment's
-                // execution window.
-                std::uint64_t span = rs.paceEnd - rs.paceStart;
-                std::uint64_t sub_gate = rs.paceStart +
-                    span * rs.cursor / rs.regions.size();
-                if (recordInsts_ < sub_gate)
-                    return;
-            }
-            if (queueDepth() + kRegionBlocks > maxQueue())
-                return;
-
-            const SpatialRegion &region = rs.regions[rs.cursor];
-            std::uint32_t bits = region.bits;
-            while (bits) {
-                unsigned bit = __builtin_ctz(bits);
-                bits &= bits - 1;
-                Addr block = region.blockAt(bit);
-                if (config_.replayDedup &&
-                    !replayIssued_.insert(block).second) {
-                    continue;
-                }
-                push(block);
-                ++stats_.replayPrefetches;
-            }
-            ++rs.cursor;
+        if (rs.cursor == rs.regions.size()) {
+            ++replayPos_;
+            continue;
         }
-        ++replayPos_;
+
+        const SpatialRegion &region = rs.regions[rs.cursor];
+        std::uint32_t bits = region.bits;
+        while (bits) {
+            unsigned bit = __builtin_ctz(bits);
+            bits &= bits - 1;
+            Addr block = region.blockAt(bit);
+            if (config_.replayDedup &&
+                !replayIssued_.insert(block).second) {
+                continue;
+            }
+            push(block);
+            ++stats_.replayPrefetches;
+        }
+        ++rs.cursor;
     }
 }
 

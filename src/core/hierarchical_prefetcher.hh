@@ -160,6 +160,19 @@ class HierarchicalPrefetcher final : public Prefetcher
 
     void tick(Cycle now) override;
 
+    /**
+     * The first cycle from which tick() would issue or retire replay
+     * work, given the current commit count and queue depth; kNever
+     * when only a commit or a queue pop can open the next gate. A
+     * cycle before it leaves tick() a no-op.
+     */
+    Cycle
+    nextTickAt() const
+    {
+        return replayPos_ < replay_.size() ? issueAt(replay_[replayPos_])
+                                           : kNever;
+    }
+
     void registerStats(StatsRegistry &reg,
                        const std::string &prefix) const override;
 
@@ -226,6 +239,11 @@ class HierarchicalPrefetcher final : public Prefetcher
     };
 
     template <class Ar> void serializeState(Ar &ar);
+
+    /** The gate tick() and nextTickAt() share: the cycle from which
+     *  @p rs's next region (or, when all are out, its retirement) can
+     *  go, or kNever while an instruction or queue gate is shut. */
+    Cycle issueAt(const ReplaySegment &rs) const;
 
     void bundleBoundary(const DynInst &inst, Cycle now);
     void endRecord(Cycle now);

@@ -309,11 +309,11 @@ Simulator::registerStats()
 void
 Simulator::ensureWindow(std::uint64_t up_to_seq)
 {
+    // The engine writes each instruction straight into its window
+    // slot: no temporary, no copy.
     while (windowBase_ + window_.size() <= up_to_seq) {
-        DynInst inst;
-        bool ok = stream_->next(inst);
+        const bool ok = stream_->next(window_.emplace_back());
         panicIf(!ok, "workload stream ended unexpectedly");
-        window_.push_back(inst);
         windowFetch_.push_back(kNotFetched);
     }
 }
@@ -431,6 +431,14 @@ Simulator::stepPredict()
     }
 }
 
+bool
+Simulator::predictCanAct() const
+{
+    // Otherwise a commit (mispredict), the BTB-miss resume or fetch
+    // draining the FTQ unblocks it.
+    return feBlock_ == FeBlock::None && ftq_.size() < cfg_.ftqEntries;
+}
+
 void
 Simulator::stepExtPrefetch()
 {
@@ -453,6 +461,15 @@ Simulator::stepExtPrefetch()
         hier_.prefetch(block, Origin::Ext, cycle_,
                        cfg_.extPrefetchToL2);
     }
+}
+
+bool
+Simulator::extPrefetchCanAct() const
+{
+    // The queue drain; the Hierarchical Prefetcher's own tick has its
+    // separate wake (nextTickAt), the other prefetchers' is a no-op.
+    return cfg_.extPrefetchesPerCycle > 0 && pf_->queueDepth() > 0 &&
+        hier_.freeMshrs() > cfg_.mem.mshrsReservedForDemand;
 }
 
 void
@@ -556,6 +573,17 @@ Simulator::stepFetch()
     }
 }
 
+Cycle
+Simulator::fetchWakeAt() const
+{
+    // Holding an FTQ entry with ROB room, fetch acts on every cycle
+    // from its stall end: a translation, a demand access — a retry
+    // against a full MSHR file counts one too — or a consumed span.
+    if (ftq_.empty() || fetchSeq_ - windowBase_ >= cfg_.robEntries)
+        return kNever;
+    return fetchStalledUntil_;
+}
+
 void
 Simulator::stepCommit()
 {
@@ -571,7 +599,7 @@ Simulator::stepCommit()
             return;
         }
 
-        const DynInst inst = window_.front();
+        const DynInst &inst = window_.front();
 
         if (scenEngine_ && inst.marker != StreamMarker::None)
             noteCommitMarker(inst, /*detailed=*/true);
@@ -603,8 +631,17 @@ Simulator::stepCommit()
         else if (pf_)
             pf_->onCommit(inst, cycle_);
 
-        bool was_blocking_mispredict =
+        const bool was_blocking_mispredict =
             feBlock_ == FeBlock::Mispredict && feBlockSeq_ == windowBase_;
+        if (was_blocking_mispredict) {
+            // The branch's last uses, before its slot is released.
+            HP_EMIT(obs_.get(),
+                    emitSpan(EventKind::FtqStallMispredict,
+                             feBlockStart_, cycle_,
+                             blockAlign(inst.pc)));
+            if (isControl(inst.kind))
+                btb_.update(inst.pc, inst.target);
+        }
 
         window_.pop_front();
         windowFetch_.pop_front();
@@ -616,16 +653,10 @@ Simulator::stepCommit()
         if (was_blocking_mispredict) {
             // Flush and resteer: the prediction unit resumes after the
             // branch; fetch pays the refill penalty.
-            HP_EMIT(obs_.get(),
-                    emitSpan(EventKind::FtqStallMispredict,
-                             feBlockStart_, cycle_,
-                             blockAlign(inst.pc)));
             ftq_.clear();
             bpSeq_ = windowBase_;
             fetchSeq_ = windowBase_;
             feBlock_ = FeBlock::None;
-            if (isControl(inst.kind))
-                btb_.update(inst.pc, inst.target);
             fetchStalledUntil_ = std::max<Cycle>(
                 fetchStalledUntil_, cycle_ + cfg_.mispredictPenalty);
             return; // commit stops at a flush boundary
@@ -634,6 +665,19 @@ Simulator::stepCommit()
         if (commitBlockedUntil_ > cycle_)
             return;
     }
+}
+
+Cycle
+Simulator::commitWakeAt() const
+{
+    // The head commits once fetched, through the pipeline, and past
+    // any back-end stall; an unfetched head waits on fetch.
+    if (window_.empty() || windowBase_ >= fetchSeq_ ||
+        windowFetch_.front() == kNotFetched) {
+        return kNever;
+    }
+    return std::max<Cycle>(commitBlockedUntil_,
+                           windowFetch_.front() + cfg_.pipelineDepth);
 }
 
 void
@@ -721,6 +765,25 @@ Simulator::stepCycle(bool has_pf)
     stepCommit();
 }
 
+Cycle
+Simulator::nextActiveCycle() const
+{
+    const Cycle next = cycle_ + 1;
+    // A due context switch, a free prediction unit or a drainable
+    // prefetch queue acts at once.
+    if ((nextSwitchAt_ != 0 && committed_ >= nextSwitchAt_) ||
+        predictCanAct() || (pf_ && extPrefetchCanAct())) {
+        return next;
+    }
+    Cycle wake = std::min({hier_.nextFillAt(), fetchWakeAt(),
+                           commitWakeAt()});
+    if (feBlock_ == FeBlock::BtbMiss && feResumeScheduled_)
+        wake = std::min(wake, feResumeAt_);
+    if (hierPf_)
+        wake = std::min(wake, hierPf_->nextTickAt());
+    return std::max(wake, next);
+}
+
 bool
 Simulator::detailedTo(std::uint64_t target, std::uint64_t &budget)
 {
@@ -728,15 +791,29 @@ Simulator::detailedTo(std::uint64_t target, std::uint64_t &budget)
         return true;
     const bool has_pf = pf_ != nullptr;
     while (budget > 0) {
-        --budget;
         if (cyclePending_)
             ++cycle_;
         cyclePending_ = true;
+        if (cycle_ < idleUntil_) {
+            // Idle cycles change no state and commit nothing: jump to
+            // the last one the budget covers, its advance pending. A
+            // lockstep core (budget 1) passes them one at a time, so
+            // the cores' shared-level accesses keep their order.
+            const std::uint64_t idle =
+                std::min<std::uint64_t>(idleUntil_ - cycle_, budget);
+            cycle_ += idle - 1;
+            budget -= idle;
+            continue;
+        }
+        --budget;
         stepCycle(has_pf);
         if (sampler_)
             sampler_->tick(committed_, measuring());
         if (committed_ >= target)
             return true;
+        idleUntil_ = nextActiveCycle();
+        panicIf(idleUntil_ == kNever,
+                "detailed kernel stalled: no stage can act again");
     }
     return false;
 }
@@ -974,6 +1051,7 @@ Simulator::resyncFrontEnd()
     feBlockStart_ = 0;
     fetchStalledUntil_ = 0;
     commitBlockedUntil_ = 0;
+    idleUntil_ = 0;
 }
 
 template <class Ar>
@@ -990,11 +1068,9 @@ Simulator::serializeWindow(Ar &ar)
         window_.clear();
         windowFetch_.clear();
         for (std::uint64_t i = 0; i < n; ++i) {
-            DynInst inst;
-            inst.serializeState(ar);
+            window_.emplace_back().serializeState(ar);
             Cycle fetch_cycle = kNotFetched;
             ar.value(fetch_cycle);
-            window_.push_back(inst);
             windowFetch_.push_back(fetch_cycle);
         }
     } else {
@@ -1066,6 +1142,7 @@ Simulator::serializeState(Ar &ar)
     if constexpr (Ar::loading) {
         mode_ = SimMode::DetailedWarmup;
         cyclePending_ = true;
+        idleUntil_ = 0;
     }
 }
 

@@ -186,6 +186,7 @@ class Simulator
   private:
     friend std::vector<SimMetrics>
     runLockstep(const std::vector<std::unique_ptr<Simulator>> &cores);
+    friend class SimulatorProbe;
 
     /** Sentinel fetch cycle for window slots fetch has not reached. */
     static constexpr Cycle kNotFetched = ~Cycle(0);
@@ -263,10 +264,18 @@ class Simulator
      */
     bool trainPredictors(const DynInst &inst);
 
+    // The per-cycle stages. Next to each, its wake condition: the
+    // first cycle from which the stage can change state (kNever when
+    // another stage must act first; one not after cycle_ means the
+    // next cycle).
     void stepPredict();
+    bool predictCanAct() const;
     void stepExtPrefetch();
+    bool extPrefetchCanAct() const;
     void stepFetch();
+    Cycle fetchWakeAt() const;
     void stepCommit();
+    Cycle commitWakeAt() const;
     void beginMeasurement();
 
     /** Feeds a committed instruction's Request{Begin,End} marker to
@@ -280,6 +289,14 @@ class Simulator
 
     /** One iteration of the main loop (every per-cycle step). */
     void stepCycle(bool has_pf);
+
+    /**
+     * The first cycle after cycle_ at which stepCycle can change any
+     * state: the earliest of every stage's wake condition, the
+     * outstanding fills and the prefetcher's replay gate (DESIGN.md
+     * §8). Every cycle before it is idle and the kernel skips it.
+     */
+    Cycle nextActiveCycle() const;
 
     /** Builds tenant runtime state for @p name (ctor helper). */
     TenantRt makeTenant(const std::string &name);
@@ -300,8 +317,9 @@ class Simulator
     /**
      * The detailed kernel (DESIGN.md §8): completes the pending cycle
      * advance, then steps cycles until the commit that crosses
-     * @p target, leaving that cycle's advance pending. Steps at most
-     * @p budget cycles, deducting them. @return true at the target.
+     * @p target, leaving that cycle's advance pending. Advances at
+     * most @p budget cycles, deducting them; idle cycles are counted
+     * but not stepped. @return true at the target.
      */
     bool detailedTo(std::uint64_t target, std::uint64_t &budget);
 
@@ -395,6 +413,11 @@ class Simulator
 
     Cycle fetchStalledUntil_ = 0;
     Cycle commitBlockedUntil_ = 0;
+
+    /** Cycles before this one are idle (nextActiveCycle after the
+     *  last stepped cycle). Derived state: reset by a restore, a
+     *  fast-forward and a front-end resync, never serialized. */
+    Cycle idleUntil_ = 0;
 
     std::uint64_t committed_ = 0;
     SimMode mode_ = SimMode::DetailedWarmup;

@@ -57,6 +57,21 @@ class RingBuffer
         ++count_;
     }
 
+    /**
+     * Appends a slot and returns it for the caller to fill in place.
+     * The slot holds T{}: every slot outside the live range does
+     * (pop_front and clear reset what they release).
+     */
+    T &
+    emplace_back()
+    {
+        if (count_ == buf_.size())
+            grow();
+        T &slot = buf_[wrap(head_ + count_)];
+        ++count_;
+        return slot;
+    }
+
     void
     pop_front()
     {

@@ -23,7 +23,6 @@
 #include <cstring>
 #include <deque>
 #include <list>
-#include <map>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -274,34 +273,6 @@ io(Ar &ar, std::pair<A, B> &p)
 {
     io(ar, p.first);
     io(ar, p.second);
-}
-
-/** Multimaps keep iteration order; equal keys stay in insertion
- *  order, which tick loops that pop equal-cycle entries rely on. */
-template <class Ar, typename K, typename V>
-void
-io(Ar &ar, std::multimap<K, V> &m)
-{
-    if constexpr (Ar::loading) {
-        std::uint64_t n = 0;
-        ar.value(n);
-        m.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            K k{};
-            V v{};
-            io(ar, k);
-            io(ar, v);
-            m.emplace_hint(m.end(), std::move(k), std::move(v));
-        }
-    } else {
-        std::uint64_t n = m.size();
-        ar.value(n);
-        for (auto &kv : m) {
-            K k = kv.first;
-            io(ar, k);
-            io(ar, kv.second);
-        }
-    }
 }
 
 /** Unordered maps are emitted sorted by key so the encoding is

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/hierarchy.hh"
+#include "util/serialize.hh"
 
 namespace hp
 {
@@ -96,6 +99,113 @@ TEST(HierarchyTest, MshrExhaustionForcesRetry)
     // After fills complete, the access succeeds.
     hier.tick(1000);
     EXPECT_FALSE(hier.demandAccess(blk(2), 1000).retry);
+}
+
+TEST(HierarchyTest, MshrFullRetryCountsItsDemandAccess)
+{
+    HierarchyParams params = smallParams();
+    params.l1iMshrs = 2;
+    CacheHierarchy hier(params);
+    const DemandResult first = hier.demandAccess(blk(0), 0);
+    hier.demandAccess(blk(1), 3);
+    EXPECT_EQ(hier.freeMshrs(), 0u);
+    EXPECT_EQ(hier.nextFillAt(), first.readyAt);
+    // Every retry is a demand access and an L1-I miss of its own:
+    // a fetch stalled on a full MSHR file must retry each cycle.
+    EXPECT_TRUE(hier.demandAccess(blk(2), 4).retry);
+    EXPECT_TRUE(hier.demandAccess(blk(2), 5).retry);
+    EXPECT_EQ(hier.stats().demandAccesses, 4u);
+    EXPECT_EQ(hier.stats().demandL1Misses, 4u);
+    // A retry allocates nothing: the earliest fill stays next.
+    EXPECT_EQ(hier.nextFillAt(), first.readyAt);
+}
+
+/** The blocks of the prefetch fills @p sink saw, in order. */
+std::vector<Addr>
+fillOrder(EventSink &sink)
+{
+    std::vector<Addr> order;
+    for (const TraceEvent &ev : sink.drain()) {
+        if (ev.kind == EventKind::PrefetchFill)
+            order.push_back(ev.addr);
+    }
+    return order;
+}
+
+TEST(HierarchyTest, EqualReadyFillsCompleteInAllocationOrder)
+{
+    CacheHierarchy hier(smallParams());
+    ASSERT_TRUE(hier.prefetch(blk(9), Origin::Ext, 0, /*to_l2=*/true));
+    hier.tick(1000);
+    EventSink sink;
+    hier.setEventSink(&sink);
+    // Cold misses allocated in one cycle all fill at the same cycle;
+    // they must land in allocation order, not block order.
+    for (unsigned i : {5u, 1u, 3u})
+        ASSERT_TRUE(hier.prefetch(blk(i), Origin::Ext, 1000));
+    // An L2 hit allocated after them is ready first and fills first.
+    ASSERT_TRUE(hier.prefetch(blk(9), Origin::Fdip, 1000));
+    const HierarchyParams &p = hier.params();
+    EXPECT_EQ(hier.nextFillAt(), 1000 + p.l2Latency);
+    hier.tick(1000 + p.l2Latency);
+    EXPECT_EQ(fillOrder(sink), (std::vector<Addr>{blk(9)}));
+    const Cycle ready = 1000 + p.memLatency;
+    EXPECT_EQ(hier.nextFillAt(), ready);
+    hier.tick(ready - 1);
+    EXPECT_TRUE(fillOrder(sink).empty());
+    hier.tick(ready);
+    EXPECT_EQ(fillOrder(sink),
+              (std::vector<Addr>{blk(5), blk(1), blk(3)}));
+    EXPECT_EQ(hier.nextFillAt(), kNever);
+    EXPECT_EQ(hier.freeMshrs(), p.l1iMshrs);
+}
+
+TEST(HierarchyTest, MshrFileRoundTripsInFillOrder)
+{
+    // Fills out of block order, equal and unequal readyAt, one
+    // demand: a restored file must complete them in the same order
+    // and re-encode to the same bytes.
+    HierarchyParams params = smallParams();
+    CacheHierarchy hier(params);
+    ASSERT_TRUE(hier.prefetch(blk(7), Origin::Ext, 0));
+    hier.demandAccess(blk(2), 0);
+    ASSERT_TRUE(hier.prefetch(blk(4), Origin::Ext, 0));
+    ASSERT_TRUE(hier.prefetch(blk(6), Origin::Fdip, 5));
+    StateWriter w;
+    hier.serializeState(w);
+
+    CacheHierarchy restored(params);
+    StateLoader loader(w.buffer().data(), w.buffer().size());
+    restored.serializeState(loader);
+    ASSERT_FALSE(loader.failed());
+    StateWriter again;
+    restored.serializeState(again);
+    EXPECT_EQ(again.buffer(), w.buffer());
+
+    EventSink a, b;
+    hier.setEventSink(&a);
+    restored.setEventSink(&b);
+    hier.tick(1000);
+    restored.tick(1000);
+    EXPECT_EQ(fillOrder(a), (std::vector<Addr>{blk(7), blk(4), blk(6)}));
+    EXPECT_EQ(fillOrder(b), (std::vector<Addr>{blk(7), blk(4), blk(6)}));
+}
+
+TEST(HierarchyTest, MshrFileFromLargerGeometryIsRejected)
+{
+    HierarchyParams params = smallParams();
+    CacheHierarchy hier(params);
+    for (unsigned i = 0; i < 3; ++i)
+        hier.demandAccess(blk(i), 0);
+    StateWriter w;
+    hier.serializeState(w);
+
+    params.l1iMshrs = 2;
+    CacheHierarchy small(params);
+    StateLoader loader(w.buffer().data(), w.buffer().size());
+    small.serializeState(loader);
+    EXPECT_TRUE(loader.failed());
+    EXPECT_EQ(small.freeMshrs(), 2u);
 }
 
 TEST(HierarchyTest, PrefetchFillsAndCountsUseful)

@@ -12,6 +12,8 @@
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
 
+#include "simulator_probe.hh"
+
 namespace hp
 {
 namespace
@@ -84,6 +86,18 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PrefetcherKind> &info) {
         return prefetcherName(info.param);
     });
+
+TEST(CheckpointReplayTest, CaptureWithFillsInFlightMatchesColdRun)
+{
+    // The boundary falls while fills are outstanding: the restored
+    // MSHR file must complete them exactly as the uninterrupted run.
+    SimConfig config = quickConfig(PrefetcherKind::Hierarchical);
+    config.warmupInsts = 100'003;
+    Simulator probe(config);
+    probe.runWarmup();
+    ASSERT_GT(SimulatorProbe::inFlightFills(probe), 0u);
+    expectBitIdentical(config);
+}
 
 TEST(CheckpointReplayTest, ProducerContinuationMatchesColdRun)
 {

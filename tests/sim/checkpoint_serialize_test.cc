@@ -23,6 +23,8 @@
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
 
+#include "simulator_probe.hh"
+
 #ifndef HP_GOLDEN_DIR
 #define HP_GOLDEN_DIR "tests/golden"
 #endif
@@ -106,6 +108,19 @@ TEST(CheckpointGoldenTest, GoldenBlobRestoresAndRoundTrips)
     ASSERT_TRUE(golden->restoreInto(sim, &error)) << error;
     Checkpoint again = Checkpoint::capture(sim, golden->warmupKey());
     EXPECT_EQ(again.encode(), on_disk);
+}
+
+TEST(CheckpointGoldenTest, GoldenBlobHoldsInFlightFills)
+{
+    // The golden bytes pin the MSHR file's canonical encoding only if
+    // the captured boundary has fills outstanding.
+    std::string error;
+    std::shared_ptr<const Checkpoint> golden =
+        Checkpoint::decode(readFile(goldenPath()), &error);
+    ASSERT_NE(golden, nullptr) << error;
+    Simulator sim(goldenConfig());
+    ASSERT_TRUE(golden->restoreInto(sim, &error)) << error;
+    EXPECT_GT(SimulatorProbe::inFlightFills(sim), 0u);
 }
 
 TEST(CheckpointGoldenTest, GoldenBlobMatchesCurrentEncoder)

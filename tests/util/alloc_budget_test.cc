@@ -209,7 +209,10 @@ TEST_P(DetailedAllocBudget, AtMostOneFifthPerInstruction)
     const double insts = double(sim.stats().value("sim.committed"));
     ASSERT_GE(insts, 0.99 * double(config.warmupInsts + config.measureInsts));
     ASSERT_GT(m.instructions, 0u);
-    EXPECT_LE(double(allocs) / insts, 0.2)
+    // About 0.004 (FDIP) and 0.005 (HP) per instruction with the flat
+    // MSHR file; a node allocation per miss would read about 0.1. The
+    // test's name predates this bound, which was one fifth.
+    EXPECT_LE(double(allocs) / insts, 0.01)
         << allocs << " allocations over " << insts << " instructions";
 }
 

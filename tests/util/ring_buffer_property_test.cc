@@ -3,7 +3,8 @@
  * Property-based test: RingBuffer must behave exactly like std::deque
  * under long random op sequences (push_back / pop_front / clear /
  * indexing / front / back), across growth and wrap-around, for several
- * fixed seeds. Also checks that serializing a ring and restoring it
+ * fixed seeds; emplace_back, filling its slot in place, must do what
+ * push_back does. Also checks that serializing a ring and restoring it
  * into a differently-shaped one reproduces the logical contents.
  */
 
@@ -62,6 +63,39 @@ TEST_P(RingBufferPropertyTest, MatchesDequeUnderRandomOps)
             ref.clear();
         }
         // Cheap invariants every step; full sweep periodically.
+        ASSERT_EQ(ring.size(), ref.size());
+        if (op % 500 == 0)
+            expectMatchesReference(ring, ref);
+    }
+    expectMatchesReference(ring, ref);
+}
+
+TEST_P(RingBufferPropertyTest, EmplaceBackMatchesPushBack)
+{
+    Rng rng(GetParam() ^ 0x5eed);
+    RingBuffer<std::uint64_t> ring(2);
+    std::deque<std::uint64_t> ref;
+
+    for (int op = 0; op < 20'000; ++op) {
+        const std::uint64_t roll = rng.nextUint(100);
+        if (roll < 55) {
+            const std::uint64_t v = rng.next();
+            std::uint64_t &slot = ring.emplace_back();
+            // A fresh slot holds T{}, whatever it held before a pop,
+            // a clear or a grow.
+            ASSERT_EQ(slot, 0u) << "op " << op;
+            slot = v;
+            ref.push_back(v);
+        } else if (roll < 95) {
+            if (!ref.empty()) {
+                EXPECT_EQ(ring.front(), ref.front());
+                ring.pop_front();
+                ref.pop_front();
+            }
+        } else {
+            ring.clear();
+            ref.clear();
+        }
         ASSERT_EQ(ring.size(), ref.size());
         if (op % 500 == 0)
             expectMatchesReference(ring, ref);
